@@ -16,10 +16,8 @@ from .bundle import (
     validate_singularity_data,
 )
 from .dimgroup import (
-    BratteliDiagram,
     DimGroupElement,
     StationaryDimGroup,
-    bratteli_diagram,
     bratteli_dot,
     elements_equal,
     is_positive,
@@ -74,7 +72,6 @@ from .perron import (
 )
 
 __all__ = [
-    "BratteliDiagram",
     "CertificateStatus",
     "ConeCounterexample",
     "ConeDescription",
@@ -93,7 +90,6 @@ __all__ = [
     "SingularityData",
     "StationaryDimGroup",
     "TraceFunctional",
-    "bratteli_diagram",
     "bratteli_dot",
     "build_bundle",
     "build_order",

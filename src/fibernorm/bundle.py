@@ -47,16 +47,11 @@ class SingularityData:
 
 @dataclass(frozen=True)
 class PseudoAnosovBundle:
-    """A fibered 3-manifold given by fiber genus, saddle data and monodromy action.
-
-    hyperbolic is always True: mapping tori of pseudo-Anosov maps carry a
-    hyperbolic structure, and only validated input gets this far.
-    """
+    """A fibered 3-manifold given by fiber genus, saddle data and monodromy action."""
 
     genus: int
     sing: SingularityData
     action: IntMatrix
-    hyperbolic: bool = True
 
     @property
     def rank(self):

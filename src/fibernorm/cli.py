@@ -13,28 +13,21 @@ subcommands.  Reports are ``key = value`` lines in a fixed key order,
 integers exact, floats with 12 significant digits, so identical inputs
 produce byte-identical output.
 
-Exit codes: 0 success, 1 domain/validation error, 2 parse or usage
-error, 3 undecided within budget.  Every nonzero exit puts exactly one
-``error = <Name>`` line on stdout; diagnostics go to stderr.
+Flags come from one table, ``_FLAGS``: flag -> (Options attribute,
+converter, expected form).  Handlers return only their report.  Every
+failure is a FibernormError; its class name is the ``error = <Name>``
+line on stdout and its ``exit_code`` the exit code (1 domain error or
+non-finite float, 2 parse or usage error, 3 undecided within budget).
+Diagnostics go to stderr.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
 from .bundle import SingularityData, build_bundle, h2_rank, validate_singularity_data
-from .dimgroup import (
-    DimGroupElement,
-    bratteli_diagram,
-    bratteli_dot,
-    is_positive,
-    make_dim_group,
-)
-from .errors import (
-    FibernormError,
-    IrreducibilityUnverified,
-    ParseError,
-    UsageError,
-)
+from .dimgroup import DimGroupElement, bratteli_dot, check_levels, is_positive, make_dim_group
+from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
 from .exact import IntMatrix, char_poly
 from .norm import ConeDescription, cone_membership, enumerate_cone_points, fiber_class_report
 from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
@@ -239,19 +232,15 @@ def serialize_input(doc):
 
 # --- report formatting -------------------------------------------------------
 
-def _format_float(x):
-    if x == 0:
-        x = 0.0
-    return f"{x:.12g}"
-
-
 def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_float(value)
+        if not math.isfinite(value):
+            raise NoConvergence(f"non-finite value {value} in the report")
+        return f"{value or 0.0:.12g}"  # -0.0 prints as 0
     if isinstance(value, str):
         return value
     if isinstance(value, (tuple, list)):
@@ -260,7 +249,10 @@ def _format_value(value):
 
 
 def write_report(pairs):
-    """Render (key, value) pairs in the canonical key order, one per line."""
+    """Render (key, value) pairs in the canonical key order, one per line.
+
+    Raises NoConvergence rather than print a non-finite float.
+    """
     ordered = sorted(pairs, key=lambda kv: _KEY_RANK[kv[0]])
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in ordered)
 
@@ -276,73 +268,72 @@ def _require(option, flag):
 def _require_bundle(doc):
     if doc.kind != "Bundle":
         raise UsageError("this subcommand needs 'genus' and 'singularities' in the input")
-    return doc
 
 
 def _cmd_charpoly(doc, opts):
-    return [("charpoly", char_poly(doc.matrix).coeffs)], 0
+    return [("charpoly", char_poly(doc.matrix).coeffs)]
 
 
 def _cmd_perron(doc, opts):
     data = perron_data(doc.matrix, tol=opts.tol, max_iter=opts.max_iter)
-    pairs = [
+    return [
         ("lambda", data.eigenvalue),
         ("right_vec", data.right),
         ("left_vec", data.left),
         ("gap", data.gap),
         ("primitivity_witness", data.witness),
     ]
-    return pairs, 0
+
+
+def _order_and_functional(doc, opts):
+    order = build_order(doc.matrix, opts.prime_budget)
+    return order, trace_functional(order)
 
 
 def _cmd_trace(doc, opts):
     element = _require(opts.element, "--element")
-    order = build_order(doc.matrix, opts.prime_budget)
-    pairs = [
-        ("trace_functional", trace_functional(order).t),
+    order, functional = _order_and_functional(doc, opts)
+    return [
+        ("trace_functional", functional.t),
         ("element", element),
         ("trace", trace_via_mult(order, element)),
     ]
-    return pairs, 0
 
 
 def _cmd_norm(doc, opts):
     klass = _require(opts.klass, "--class")
-    order = build_order(doc.matrix, opts.prime_budget)
-    functional = trace_functional(order)
-    pairs = [
+    _, functional = _order_and_functional(doc, opts)
+    return [
         ("trace_functional", functional.t),
         ("class", klass),
         ("norm", norm_value(functional, klass)),
     ]
-    return pairs, 0
 
 
 def _cmd_cone(doc, opts):
     if opts.klass is None and opts.box is None:
         raise UsageError("cone needs --class and/or --box")
-    order = build_order(doc.matrix, opts.prime_budget)
-    cone = ConeDescription(trace_functional(order))
-    pairs = [("trace_functional", cone.functional.t)]
+    _, functional = _order_and_functional(doc, opts)
+    cone = ConeDescription(functional)
+    pairs = [("trace_functional", functional.t)]
     if opts.klass is not None:
         pairs.append(("class", opts.klass))
         pairs.append(("membership", cone_membership(cone, opts.klass).value))
     if opts.box is not None:
         pairs.append(("cone_points", enumerate_cone_points(cone, opts.box)))
-    return pairs, 0
+    return pairs
 
 
 def _cmd_validate(doc, opts):
     _require_bundle(doc)
     sing = SingularityData(doc.singularities)
     validate_singularity_data(doc.genus, sing)
-    pairs = [
+    return [
         ("genus", doc.genus),
         ("singularities", sing.prongs),
         ("rank", h2_rank(doc.genus, sing.count)),
         ("valid", "ok"),
     ]
-    return pairs, 0
 
 
 def _cmd_dimgroup(doc, opts):
@@ -353,7 +344,7 @@ def _cmd_dimgroup(doc, opts):
     element = DimGroupElement(vector, opts.stage)
     sign = is_positive(group, element)
     if sign.sign is Sign.UNDECIDED:
-        return [("error", "PositivityUndecided")], 3
+        raise PositivityUndecided(f"still mixed-sign after {sign.bound} iterations")
     pairs = [
         ("vector", element.v),
         ("stage", element.stage),
@@ -361,21 +352,20 @@ def _cmd_dimgroup(doc, opts):
     ]
     if sign.witness is not None:
         pairs.append(("witness", sign.witness))
-    return pairs, 0
+    return pairs
 
 
 def _cmd_bratteli(doc, opts):
     group = make_dim_group(doc.matrix)
     if opts.format == "dot":
-        return bratteli_dot(group, opts.levels), 0
-    bratteli_diagram(group, opts.levels)
+        return bratteli_dot(group, opts.levels)
+    check_levels(opts.levels)
     entry_sum = sum(sum(row) for row in doc.matrix.rows)
-    pairs = [
+    return [
         ("levels", opts.levels),
         ("vertex_count", opts.levels * doc.matrix.k),
         ("edge_count", (opts.levels - 1) * entry_sum),
     ]
-    return pairs, 0
 
 
 def _cmd_report(doc, opts):
@@ -400,7 +390,7 @@ def _cmd_report(doc, opts):
         pairs.append(("gromov_value", report.gromov_value))
     if report.negative_fiber_norm:
         pairs.append(("negative_fiber_norm", True))
-    return pairs, 0
+    return pairs
 
 
 _HANDLERS = {
@@ -418,86 +408,66 @@ _HANDLERS = {
 
 # --- flag parsing ------------------------------------------------------------
 
-def _flag_int(value, flag):
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+def _checked(convert, accept):
+    def checked(text):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+
+    return checked
 
 
-def _flag_float(value, flag):
-    try:
-        return float(value)
-    except ValueError:
-        raise UsageError(f"{flag} expects a number, got {value!r}") from None
-
-
-def _flag_int_list(value, flag):
-    try:
-        return _parse_bracket_int_list(value)
-    except ParseError:
-        raise UsageError(f"{flag} expects [i,j,...], got {value!r}") from None
+# flag -> (Options attribute, converter, expected form).  A converter
+# rejects a value by raising ValueError or ParseError.
+_FLAGS = {
+    "--input": ("input", str, "a path"),
+    "--tol": ("tol", float, "a number"),
+    "--max-iter": ("max_iter", int, "an integer"),
+    "--prime-budget": ("prime_budget", _checked(int, lambda n: n >= 1), "an integer >= 1"),
+    "--element": ("element", _parse_bracket_int_list, "[i,j,...]"),
+    "--class": ("klass", _parse_bracket_int_list, "[i,j,...]"),
+    "--fiber-class": ("fiber_class", _parse_bracket_int_list, "[i,j,...]"),
+    "--box": ("box", _checked(int, lambda n: n >= 0), "an integer >= 0"),
+    "--levels": ("levels", int, "an integer"),
+    "--stage": ("stage", int, "an integer"),
+    "--vector": ("vector", _parse_bracket_int_list, "[i,j,...]"),
+    "--format": ("format", _checked(str, lambda f: f in ("text", "dot")), "text or dot"),
+}
 
 
 def _parse_argv(argv):
-    if not argv:
-        raise UsageError("missing subcommand")
-    name = argv[0]
-    if name not in _HANDLERS:
-        raise UsageError(f"unknown subcommand {name!r}")
+    if not argv or argv[0] not in _HANDLERS:
+        raise UsageError(f"missing or unknown subcommand {argv[:1]}")
     opts = Options()
-    i = 1
-    while i < len(argv):
+    for i in range(1, len(argv), 2):
         flag = argv[i]
-        if not flag.startswith("--"):
-            raise UsageError(f"unexpected argument {flag!r}")
-        if i + 1 >= len(argv):
+        if flag not in _FLAGS:
+            raise UsageError(f"unknown flag or stray argument {flag!r}")
+        if i + 1 == len(argv):
             raise UsageError(f"flag {flag} needs a value")
-        value = argv[i + 1]
-        i += 2
-        if flag == "--input":
-            opts.input = value
-        elif flag == "--tol":
-            opts.tol = _flag_float(value, flag)
-        elif flag == "--max-iter":
-            opts.max_iter = _flag_int(value, flag)
-        elif flag == "--prime-budget":
-            opts.prime_budget = _flag_int(value, flag)
-        elif flag == "--element":
-            opts.element = _flag_int_list(value, flag)
-        elif flag == "--class":
-            opts.klass = _flag_int_list(value, flag)
-        elif flag == "--fiber-class":
-            opts.fiber_class = _flag_int_list(value, flag)
-        elif flag == "--box":
-            opts.box = _flag_int(value, flag)
-        elif flag == "--levels":
-            opts.levels = _flag_int(value, flag)
-        elif flag == "--stage":
-            opts.stage = _flag_int(value, flag)
-        elif flag == "--vector":
-            opts.vector = _flag_int_list(value, flag)
-        elif flag == "--format":
-            if value not in ("text", "dot"):
-                raise UsageError(f"--format expects text or dot, got {value!r}")
-            opts.format = value
-        else:
-            raise UsageError(f"unknown flag {flag!r}")
+        attribute, convert, form = _FLAGS[flag]
+        try:
+            setattr(opts, attribute, convert(argv[i + 1]))
+        except (ValueError, ParseError):
+            raise UsageError(f"{flag} expects {form}, got {argv[i + 1]!r}") from None
     if opts.input is None:
         raise UsageError("--input is required")
-    if opts.prime_budget < 1:
-        raise UsageError("--prime-budget must be at least 1")
-    if opts.box is not None and opts.box < 0:
-        raise UsageError("--box must be nonnegative")
-    return name, opts
+    return argv[0], opts
+
+
+def _read_input(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read input: {exc}") from exc
 
 
 def run_subcommand(name, opts, doc):
-    """Dispatch to a handler; returns (report text, exit code)."""
-    result, code = _HANDLERS[name](doc, opts)
-    if isinstance(result, str):
-        return result, code
-    return write_report(result), code
+    """Dispatch to a handler; returns the report text (or DOT text)."""
+    result = _HANDLERS[name](doc, opts)
+    return result if isinstance(result, str) else write_report(result)
 
 
 def main(argv, out=None, err=None):
@@ -505,40 +475,15 @@ def main(argv, out=None, err=None):
     err = err if err is not None else sys.stderr
     try:
         name, opts = _parse_argv(argv)
-    except UsageError as exc:
-        err.write(USAGE)
-        err.write(f"error: {exc}\n")
-        out.write("error = UsageError\n")
-        return 2
-    try:
-        with open(opts.input, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        err.write(f"error: cannot read input: {exc}\n")
-        out.write("error = UsageError\n")
-        return 2
-    try:
-        doc = parse_input(text)
-        report, code = run_subcommand(name, opts, doc)
-    except ParseError as exc:
-        err.write(f"error: {exc}\n")
-        out.write("error = ParseError\n")
-        return 2
-    except UsageError as exc:
-        err.write(USAGE)
-        err.write(f"error: {exc}\n")
-        out.write("error = UsageError\n")
-        return 2
-    except IrreducibilityUnverified as exc:
-        err.write(f"error: {exc}\n")
-        out.write("error = IrreducibilityUnverified\n")
-        return 3
+        report = run_subcommand(name, opts, parse_input(_read_input(opts.input)))
     except FibernormError as exc:
+        if isinstance(exc, UsageError):
+            err.write(USAGE)
         err.write(f"error: {exc}\n")
         out.write(f"error = {type(exc).__name__}\n")
-        return 1
+        return exc.exit_code
     out.write(report)
-    return code
+    return 0
 
 
 def console_entry():

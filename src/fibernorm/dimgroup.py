@@ -36,18 +36,6 @@ class DimGroupElement:
             raise ValueError("stage must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
-    """Finitely many floors of the stationary diagram.
-
-    Stationarity is built in: the same incidence matrix sits between
-    every pair of consecutive floors.
-    """
-
-    incidence: IntMatrix
-    levels: int
-
-
 def make_dim_group(A):
     """Wrap a nonnegative primitive matrix as a dimension group handle."""
     return StationaryDimGroup(matrix=A, witness=primitivity_check(A))
@@ -93,10 +81,10 @@ def order_unit(group):
     return DimGroupElement((1,) * group.k, 0)
 
 
-def bratteli_diagram(group, levels):
+def check_levels(levels):
+    """A diagram of the stationary system needs at least two floors."""
     if levels < 2:
         raise TooFewLevels("a diagram needs at least 2 floors")
-    return BratteliDiagram(incidence=group.matrix, levels=levels)
 
 
 def bratteli_dot(group, levels):
@@ -107,16 +95,16 @@ def bratteli_dot(group, levels):
     floor t+1.  Floors are emitted top to bottom, vertices by index,
     edges by (floor, target row, source column).
     """
-    diagram = bratteli_diagram(group, levels)
-    k = diagram.incidence.k
+    check_levels(levels)
+    k = group.k
     lines = ["digraph bratteli {"]
-    for floor in range(diagram.levels):
+    for floor in range(levels):
         for index in range(k):
             lines.append(f"  v{floor}_{index};")
-    for floor in range(diagram.levels - 1):
+    for floor in range(levels - 1):
         for i in range(k):
             for j in range(k):
-                for _ in range(diagram.incidence[i][j]):
+                for _ in range(group.matrix[i][j]):
                     lines.append(f"  v{floor}_{j} -> v{floor + 1}_{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,12 +2,16 @@
 
 Class names double as the machine-readable error tokens printed by the
 command line tool (``error = <ClassName>``), so they carry no ``Error``
-suffix and must stay stable.
+suffix and must stay stable.  Each class also fixes the tool's exit code:
+1 for a domain or validation error, 2 for bad input or usage, 3 for a
+question left undecided within its budget.
 """
 
 
 class FibernormError(Exception):
     """Base class for every domain error raised by this package."""
+
+    exit_code = 1
 
 
 class BadReductionPrime(FibernormError):
@@ -23,7 +27,7 @@ class NotPrimitive(FibernormError):
 
 
 class NoConvergence(FibernormError):
-    """Power iteration failed to settle within the iteration budget."""
+    """Power iteration did not settle, or a numeric result came out non-finite."""
 
 
 class DimensionMismatch(FibernormError):
@@ -40,6 +44,18 @@ class NotAField(FibernormError):
 
 class IrreducibilityUnverified(FibernormError):
     """Irreducibility could not be decided within the prime budget."""
+
+    exit_code = 3
+
+
+class PositivityUndecided(FibernormError):
+    """A vector is still mixed-sign at the exact-iteration bound."""
+
+    exit_code = 3
+
+
+class EmbeddingMismatch(FibernormError):
+    """The numeric embedding sum was not finite or not close to an integer."""
 
 
 class BackwardTelescope(FibernormError):
@@ -77,6 +93,8 @@ class NegativeNorm(FibernormError):
 class ParseError(FibernormError):
     """Malformed input document."""
 
+    exit_code = 2
+
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:
@@ -85,4 +103,6 @@ class ParseError(FibernormError):
 
 
 class UsageError(FibernormError):
-    """Bad command line: unknown subcommand, unknown flag, or missing value."""
+    """Bad command line (unknown subcommand or flag, bad or missing value) or unreadable input."""
+
+    exit_code = 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 from .errors import BadReductionPrime
 
@@ -520,13 +520,18 @@ def _proper_subset_sums(degrees, full):
 
 
 def _signed_divisors(n):
-    """Divisors of |n| with both signs, smallest magnitude first."""
+    """Divisors of |n| with both signs, smallest magnitude first.
+
+    Trial division stops at sqrt|n|; None when that alone would pass the
+    factor-search cap.
+    """
     n = abs(n)
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out.extend((d, -d))
-    return out
+    root = isqrt(n)
+    if root > _FACTOR_SEARCH_CAP:
+        return None
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if n // d != d]
+    return [s for d in small + large for s in (d, -d)]
 
 
 def _bounded_factor_search(p, candidate_degrees):
@@ -542,16 +547,19 @@ def _bounded_factor_search(p, candidate_degrees):
     a0 = p.coeffs[0]
     if a0 == 0:
         return IntPolynomial([0, 1])
+    divisors = _signed_divisors(a0)
+    if divisors is None:
+        return None
     root_bound = 1 + max(abs(c) for c in p.coeffs[:-1])
     for d in sorted(candidate_degrees):
         if d > k // 2:
             continue
         if d == 1:
-            for r in _signed_divisors(a0):
+            for r in divisors:
                 if p(r) == 0:
                     return IntPolynomial([-r, 1])
             continue
-        constants = [c for c in _signed_divisors(a0) if abs(c) <= root_bound**d]
+        constants = [c for c in divisors if abs(c) <= root_bound**d]
         bounds = [comb(d, d - j) * root_bound ** (d - j) for j in range(1, d)]
         total = len(constants)
         for b in bounds:

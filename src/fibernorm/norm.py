@@ -36,12 +36,6 @@ class ConeDescription:
     def value(self, z):
         return norm_value(self.functional, z)
 
-    def contains(self, z):
-        return self.value(z) >= 0
-
-    def strictly_contains(self, z):
-        return self.value(z) > 0
-
 
 @dataclass(frozen=True)
 class ConeCounterexample:

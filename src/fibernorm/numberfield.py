@@ -11,11 +11,13 @@ can be computed three independent ways:
   * summing the element over all complex embeddings (numeric check).
 """
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import (
     DegenerateMonodromy,
     DimensionMismatch,
+    EmbeddingMismatch,
     IrreducibilityUnverified,
     NotAField,
 )
@@ -29,10 +31,6 @@ from .exact import (
     newton_power_sums,
 )
 from .roots import complex_roots
-
-
-class EmbeddingMismatch(ArithmeticError):
-    """The numeric embedding sum was not close enough to an integer."""
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,9 @@ def trace_via_newton(order, a):
 def trace_via_embeddings(order, a, tol=1e-8):
     """Trace by summing the element over all complex embeddings.
 
-    Purely a numeric cross-check: the sum must land within tol of an
-    integer or EmbeddingMismatch is raised to flag a root-finding or
-    logic bug.
+    Purely a numeric cross-check: the sum must be finite and land within
+    tol of an integer, or EmbeddingMismatch is raised to flag a
+    root-finding or logic bug.
     """
     coords = order.element(a)
     total = 0j
@@ -159,6 +157,8 @@ def trace_via_embeddings(order, a, tol=1e-8):
         for c in reversed(coords):
             value = value * root + c
         total += value
+    if not cmath.isfinite(total):
+        raise EmbeddingMismatch(f"embedding sum {total} is not finite")
     nearest = round(total.real)
     if abs(total.imag) > tol or abs(total.real - nearest) > tol:
         raise EmbeddingMismatch(f"embedding sum {total} is not integral within {tol}")

@@ -60,10 +60,6 @@ class PositivitySign:
     def is_positive(self):
         return self.sign is Sign.POSITIVE
 
-    @property
-    def is_decided(self):
-        return self.sign is not Sign.UNDECIDED
-
 
 @dataclass(frozen=True)
 class PerronData:

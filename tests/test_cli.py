@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fibernorm.cli import InputDocument, main, parse_input, serialize_input, write_report
-from fibernorm.errors import ParseError
+from fibernorm.errors import NoConvergence, ParseError
 from fibernorm.exact import IntMatrix
 
 QUAD_DOC = "matrix = [[2,1],[1,1]]\n"
@@ -93,6 +93,9 @@ def test_round_trip_through_serialize():
 def test_write_report_orders_keys_and_formats_values():
     text = write_report([("trace", 5), ("genus", 2), ("gap", 0.25), ("class", (1, -2))])
     assert text == "genus = 2\ntrace = 5\nclass = [1,-2]\ngap = 0.25\n"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NoConvergence):
+            write_report([("lambda", 2.5), ("gap", bad)])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -221,24 +224,45 @@ def test_exit_codes_and_error_lines(tmp_path):
         tmp_path, "x41.txt", "matrix = [[0,0,0,-1],[1,0,0,0],[0,1,0,0],[0,0,1,0]]\n"
     )
     scalar = write_doc(tmp_path, "scalar.txt", "matrix = [[2,0],[0,2]]\n")
+    oscillating = write_doc(tmp_path, "osc.txt", "matrix = [[1,2],[1,0]]\n")
+    # x^2 - 10^12: the divisor enumeration is past its budget, never run
+    huge = write_doc(tmp_path, "huge.txt", "matrix = [[0,1000000000000],[1,0]]\n")
+    # k=10 companion with 160-bit coefficients: the spectral gap overflows
+    rows = [[int(j == i - 1) for j in range(9)] + [2**160] for i in range(10)]
+    overflow = write_doc(tmp_path, "c10.txt", f"matrix = {rows}\n".replace(" ", ""))
 
     cases = [
-        (["charpoly", "--input", quad], 0),
-        (["trace", "--input", scalar, "--element", "[1,0]"], 1),
-        (["nonsense", "--input", quad], 2),
-        (["charpoly", "--input", quad, "--bogus", "1"], 2),
-        (["charpoly", "--input", broken], 2),
-        (["charpoly"], 2),
-        (["trace", "--input", quad], 2),  # missing --element
-        (["charpoly", "--input", str(tmp_path / "missing.txt")], 2),
-        (["trace", "--input", undecidable, "--element", "[1,0,0,0]"], 3),
-        (["validate", "--input", quad], 2),  # matrix-only doc, bundle subcommand
+        (["charpoly", "--input", quad], 0, None),
+        (["trace", "--input", scalar, "--element", "[1,0]"], 1, "DegenerateMonodromy"),
+        (["perron", "--input", overflow], 1, "NoConvergence"),
+        (["nonsense", "--input", quad], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--bogus", "1"], 2, "UsageError"),
+        (["charpoly", "--input", broken], 2, "ParseError"),
+        (["charpoly"], 2, "UsageError"),
+        (["trace", "--input", quad], 2, "UsageError"),  # missing --element
+        (["charpoly", "--input", str(tmp_path / "missing.txt")], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--format", "xml"], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--prime-budget", "0"], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--box", "-1"], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--tol", "abc"], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--element", "1,2"], 2, "UsageError"),
+        (["charpoly", "--input", quad, "--levels"], 2, "UsageError"),  # no value
+        (["charpoly", "--input", quad, "stray"], 2, "UsageError"),
+        (["dimgroup", "--input", quad, "--stage", "-1"], 2, "UsageError"),
+        (["trace", "--input", undecidable, "--element", "[1,0,0,0]"], 3,
+         "IrreducibilityUnverified"),
+        (["trace", "--input", huge, "--element", "[1,1]"], 3, "IrreducibilityUnverified"),
+        (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),
+        (["validate", "--input", quad], 2, "UsageError"),  # matrix-only doc, bundle subcommand
     ]
-    for args, expected in cases:
-        code, out, _ = run_cli(args)
+    for args, expected, token in cases:
+        code, out, err = run_cli(args)
         assert code == expected, (args, code, out)
-        has_error_line = any(line.startswith("error = ") for line in out.splitlines())
-        assert has_error_line == (code != 0), (args, out)
+        if token is None:
+            assert not any(line.startswith("error = ") for line in out.splitlines()), (args, out)
+        else:
+            assert out == f"error = {token}\n", (args, out)
+            assert err.startswith("usage:") == (token == "UsageError"), (args, err)
 
 
 def test_domain_error_names_are_stable(tmp_path):

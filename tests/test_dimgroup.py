@@ -6,7 +6,6 @@ import pytest
 
 from fibernorm.dimgroup import (
     DimGroupElement,
-    bratteli_diagram,
     bratteli_dot,
     elements_equal,
     is_positive,
@@ -141,8 +140,6 @@ def test_bratteli_dot_counts():
 def test_bratteli_dot_deterministic_and_stationary():
     group = make_dim_group(QUAD)
     assert bratteli_dot(group, 4) == bratteli_dot(group, 4)
-    diagram = bratteli_diagram(group, 4)
-    assert diagram.incidence == QUAD
     with pytest.raises(TooFewLevels):
         bratteli_dot(group, 1)
 

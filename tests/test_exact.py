@@ -7,6 +7,7 @@ against exhaustive trial division.
 """
 
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from fibernorm.exact import (
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
+    _signed_divisors,
     char_poly,
     factor_mod_p,
     first_primes,
@@ -359,6 +361,20 @@ def test_certificate_square_is_reducible():
     square = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1])
     cert = irreducibility_certificate(square, 5)
     assert cert.status is CertificateStatus.REDUCIBLE
+
+
+def test_certificate_divisor_enumeration_is_bounded():
+    for n in range(1, 300):
+        brute = [s for d in range(1, n + 1) if n % d == 0 for s in (d, -d)]
+        assert _signed_divisors(n) == brute
+    cert = irreducibility_certificate(IntPolynomial([-16_000_000, 0, 1]), 10)
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert cert.factor_degrees == (1, 1)
+    # sqrt(10^12) trial divisions would pass the search cap: no search runs.
+    start = time.perf_counter()
+    cert = irreducibility_certificate(IntPolynomial([-(10**12), 0, 1]), 10)
+    assert cert.status is CertificateStatus.UNDECIDED
+    assert time.perf_counter() - start < 5
 
 
 def test_certificate_undecided_for_everywhere_split_polynomial():

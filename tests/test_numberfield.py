@@ -7,6 +7,7 @@ import pytest
 from fibernorm.errors import (
     DegenerateMonodromy,
     DimensionMismatch,
+    FibernormError,
     IrreducibilityUnverified,
     NotAField,
     NotPrimitive,
@@ -189,3 +190,11 @@ def test_embeddings_guard_trips_on_absurd_tolerance():
     assert trace_via_embeddings(order, (7, -13, 0), tol=1e-8) == 8
     with pytest.raises(EmbeddingMismatch):
         trace_via_embeddings(order, (7, -13, 0), tol=1e-18)
+
+
+def test_embeddings_guard_trips_on_non_finite_sum():
+    order = build_order(TRIB, 5)
+    order._roots = (complex("nan"),) + order._roots[1:]
+    with pytest.raises(EmbeddingMismatch) as info:
+        trace_via_embeddings(order, (1, 0, 0))
+    assert isinstance(info.value, FibernormError)
