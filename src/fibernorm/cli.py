@@ -422,8 +422,8 @@ def _checked(convert, accept):
 # rejects a value by raising ValueError or ParseError.
 _FLAGS = {
     "--input": ("input", str, "a path"),
-    "--tol": ("tol", float, "a number"),
-    "--max-iter": ("max_iter", int, "an integer"),
+    "--tol": ("tol", _checked(float, lambda t: 0 < t < math.inf), "a finite number > 0"),
+    "--max-iter": ("max_iter", _checked(int, lambda n: n >= 1), "an integer >= 1"),
     "--prime-budget": ("prime_budget", _checked(int, lambda n: n >= 1), "an integer >= 1"),
     "--element": ("element", _parse_bracket_int_list, "[i,j,...]"),
     "--class": ("klass", _parse_bracket_int_list, "[i,j,...]"),

@@ -8,9 +8,8 @@ bit-for-bit reproducible.  All values are immutable once built.
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .errors import BadReductionPrime
 
@@ -233,58 +232,35 @@ def char_poly(A):
     return IntPolynomial(list(reversed(cs)))
 
 
-def _solve_exact(columns, target):
-    """Solve sum_i x_i * columns[i] = target over the rationals.
-
-    Returns a list of Fractions, or None when the system is inconsistent.
-    Plain Gaussian elimination on exact fractions.
-    """
-    n_rows = len(target)
-    n_cols = len(columns)
-    aug = [[Fraction(col[r]) for col in columns] + [Fraction(target[r])] for r in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][n_cols]
-    return solution
-
-
 def matrix_min_poly(A):
     """Monic minimal polynomial of A over the rationals.
 
-    Found as the smallest linear dependence among I, A, A^2, ...; the
-    result always divides char_poly(A) and has integer coefficients.
+    The first of I, A, A^2, ... to reduce to zero against the earlier ones
+    (one fraction-free elimination, rows divided by their content) gives
+    the smallest linear dependence; the result divides char_poly(A) and
+    has integer coefficients.
     """
     k = A.k
-    powers = [IntMatrix.identity(k)]
-    for d in range(1, k + 1):
-        powers.append(powers[-1] * A)
-        columns = [[p.rows[i][j] for i in range(k) for j in range(k)] for p in powers[:d]]
-        target = [powers[d].rows[i][j] for i in range(k) for j in range(k)]
-        solution = _solve_exact(columns, target)
-        if solution is not None:
-            if any(x.denominator != 1 for x in solution):
+    n = k * k
+    kept = []  # (pivot, reduced power flattened, then its combination of powers)
+    power = IntMatrix.identity(k)
+    for d in range(k + 1):
+        row = [x for r in power.rows for x in r] + [int(i == d) for i in range(k + 1)]
+        for pivot, kept_row in kept:
+            f = row[pivot]
+            if f:
+                g = kept_row[pivot]
+                row = [g * x - f * y for x, y in zip(row, kept_row)]
+                content = gcd(*row)
+                row = [x // content for x in row]
+        pivot = next((i for i in range(n) if row[i]), None)
+        if pivot is None:
+            lead = row[n + d]
+            if any(c % lead for c in row):
                 raise ArithmeticError("minimal polynomial came out non-integral")
-            return IntPolynomial([-int(x) for x in solution] + [1])
+            return IntPolynomial([c // lead for c in row[n : n + d + 1]])
+        kept.append((pivot, row))
+        power = power * A
     raise ArithmeticError("no annihilating polynomial up to the matrix dimension")
 
 
@@ -500,15 +476,18 @@ class CertificateStatus(Enum):
 class IrreducibilityCertificate:
     """Outcome of the rational irreducibility test.
 
-    Irreducible always carries the witness prime at which the polynomial
-    stays in one piece of full degree.  Reducible carries the degrees of
-    an exact rational split that was actually found.  Undecided is an
-    honest answer, not an error.
+    ``patterns`` holds each ``(prime, mod-prime factor degrees)`` pair read.
+    Irreducible: no proper factor degree is a subset sum of every pattern;
+    ``witness_prime`` is a prime where the polynomial stays in one piece of
+    full degree, or None when only the patterns together rule factors out.
+    Reducible carries the degrees of an exact rational split that was
+    actually found.  Undecided is an honest answer, not an error.
     """
 
     status: CertificateStatus
     witness_prime: int | None = None
     factor_degrees: tuple[int, ...] | None = None
+    patterns: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
 def _proper_subset_sums(degrees, full):
@@ -554,11 +533,6 @@ def _bounded_factor_search(p, candidate_degrees):
     for d in sorted(candidate_degrees):
         if d > k // 2:
             continue
-        if d == 1:
-            for r in divisors:
-                if p(r) == 0:
-                    return IntPolynomial([-r, 1])
-            continue
         constants = [c for c in divisors if abs(c) <= root_bound**d]
         bounds = [comb(d, d - j) * root_bound ** (d - j) for j in range(1, d)]
         total = len(constants)
@@ -581,34 +555,36 @@ def _bounded_factor_search(p, candidate_degrees):
 def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     """Certify irreducibility of a monic integer polynomial over Q.
 
-    A single reduction prime where the polynomial stays irreducible of
-    full degree is a witness.  Failing that, the degree patterns across
-    the prime budget are intersected; if they leave room for a proper
-    factor, a bounded coefficient search tries to produce one exactly.
-    Everything else is Undecided: in particular polynomials that are
-    irreducible over Q but split at every prime never get a witness here.
+    A monic factor of degree d reduces mod every prime to factors whose
+    degrees sum to d, so the proper subset sums of the mod-q patterns are
+    intersected over the prime budget: an empty intersection proves
+    irreducibility.  If room is left, a bounded coefficient search tries
+    to produce a factor exactly.  Everything else is Undecided, such as
+    x^4 + 1, whose patterns leave degree 2 at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
     if prime_budget < 1:
         raise ValueError("prime budget must be at least 1")
     k = p.degree
-    possible = None
+    possible = set(range(1, k))
+    patterns = ()
     for q in first_primes(prime_budget):
         degrees = factor_mod_p(p, q)
-        if degrees == (k,):
-            return IrreducibilityCertificate(
-                CertificateStatus.IRREDUCIBLE, witness_prime=q, factor_degrees=(k,)
-            )
-        sums = _proper_subset_sums(degrees, k)
-        possible = sums if possible is None else possible & sums
+        patterns += ((q, degrees),)
+        possible &= _proper_subset_sums(degrees, k)
         if not possible:
-            break
-    if possible:
-        factor = _bounded_factor_search(p, possible)
-        if factor is not None:
             return IrreducibilityCertificate(
-                CertificateStatus.REDUCIBLE,
-                factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
+                CertificateStatus.IRREDUCIBLE,
+                witness_prime=q if degrees == (k,) else None,
+                factor_degrees=(k,),
+                patterns=patterns,
             )
-    return IrreducibilityCertificate(CertificateStatus.UNDECIDED)
+    factor = _bounded_factor_search(p, possible)
+    if factor is not None:
+        return IrreducibilityCertificate(
+            CertificateStatus.REDUCIBLE,
+            factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
+            patterns=patterns,
+        )
+    return IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)

@@ -245,6 +245,11 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["charpoly", "--input", quad, "--prime-budget", "0"], 2, "UsageError"),
         (["charpoly", "--input", quad, "--box", "-1"], 2, "UsageError"),
         (["charpoly", "--input", quad, "--tol", "abc"], 2, "UsageError"),
+        (["perron", "--input", quad, "--tol", "nan"], 2, "UsageError"),
+        (["perron", "--input", quad, "--tol", "-1"], 2, "UsageError"),
+        (["perron", "--input", quad, "--tol", "0"], 2, "UsageError"),
+        (["perron", "--input", quad, "--tol", "inf"], 2, "UsageError"),
+        (["perron", "--input", quad, "--max-iter", "0"], 2, "UsageError"),
         (["charpoly", "--input", quad, "--element", "1,2"], 2, "UsageError"),
         (["charpoly", "--input", quad, "--levels"], 2, "UsageError"),  # no value
         (["charpoly", "--input", quad, "stray"], 2, "UsageError"),

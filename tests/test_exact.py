@@ -8,6 +8,7 @@ against exhaustive trial division.
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -343,7 +344,32 @@ def test_certificate_witness_is_checkable():
         cert = irreducibility_certificate(p, 10)
         if cert.status is CertificateStatus.IRREDUCIBLE:
             seen += 1
-            assert factor_mod_p(p, cert.witness_prime) == (degree,)
+            if cert.witness_prime is not None:
+                assert factor_mod_p(p, cert.witness_prime) == (degree,)
+                continue
+            # no single witness: the patterns together leave no factor degree
+            possible = set(range(1, degree))
+            for q, pattern in cert.patterns:
+                assert factor_mod_p(p, q) == pattern
+                possible -= {d for d in possible if not _is_subset_sum(pattern, d)}
+            assert not possible
+
+
+def _is_subset_sum(parts, target):
+    return any(
+        sum(chosen) == target
+        for r in range(len(parts) + 1)
+        for chosen in combinations(parts, r)
+    )
+
+
+def test_certificate_patterns_prove_irreducibility_without_a_witness():
+    # x^4 - 2x^3 - x^2 - 3x - 3 splits (1,3) mod 2, (1,1,2) mod 3 and (2,2)
+    # mod 5: no prime keeps it whole, yet no proper degree survives all three.
+    cert = irreducibility_certificate(IntPolynomial([-3, -3, -1, -2, 1]), 10)
+    assert cert.status is CertificateStatus.IRREDUCIBLE
+    assert cert.witness_prime is None
+    assert cert.patterns == ((2, (1, 3)), (3, (1, 1, 2)), (5, (2, 2)))
 
 
 def test_certificate_finds_built_reducible_products():

@@ -1,0 +1,120 @@
+"""Differential checks of the exact layers against sympy.
+
+sympy and hypothesis are test-only dependencies; the module is skipped
+when either is missing.  The minimal-polynomial oracle is built from
+sympy's factorization of the characteristic polynomial: each irreducible
+factor's exponent is lowered while the product still annihilates the
+matrix, which shares no code path with the elimination under test.
+"""
+
+import pytest
+
+from fibernorm.exact import (
+    CertificateStatus,
+    IntMatrix,
+    IntPolynomial,
+    char_poly,
+    irreducibility_certificate,
+    matrix_min_poly,
+)
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+X = sympy.Symbol("x")
+FEW = hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _square(k, low=-3, high=3):
+    row = st.lists(st.integers(low, high), min_size=k, max_size=k)
+    return st.lists(row, min_size=k, max_size=k)
+
+
+def _block_repeat(block, copies):
+    k = len(block)
+    n = k * copies
+    return [
+        [block[i % k][j % k] if i // k == j // k else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+def _relabelled_nilpotent(data):
+    n, entries, perm = data
+    upper = [[entries[i * n + j] if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+square_matrices = st.integers(1, 6).flatmap(_square)
+block_repeats = st.builds(
+    _block_repeat, st.integers(1, 3).flatmap(lambda k: _square(k, -2, 2)), st.integers(2, 3)
+).filter(lambda rows: len(rows) <= 6)
+nilpotents = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n),
+        st.permutations(range(n)),
+    )
+).map(_relabelled_nilpotent)
+
+
+def _coeffs(poly):
+    """Ascending integer coefficients of a sympy polynomial in X."""
+    return [int(c) for c in reversed(sympy.Poly(poly, X).all_coeffs())]
+
+
+def _annihilates(poly, m):
+    result = sympy.zeros(*m.shape)
+    for c in reversed(_coeffs(poly)):
+        result = result * m + c * sympy.eye(m.shape[0])
+    return result.is_zero_matrix
+
+
+def _sympy_min_poly(m):
+    _, factors = sympy.factor_list(m.charpoly(X).as_expr(), X)
+    exponents = [e for _, e in factors]
+
+    def product(exps):
+        return sympy.Mul(*(f**e for (f, _), e in zip(factors, exps)))
+
+    for i in range(len(factors)):
+        while exponents[i] > 1:
+            lower = exponents[:i] + [exponents[i] - 1] + exponents[i + 1:]
+            if not _annihilates(product(lower), m):
+                break
+            exponents = lower
+    return _coeffs(product(exponents))
+
+
+@FEW
+@hypothesis.given(st.one_of(square_matrices, block_repeats, nilpotents))
+def test_char_and_min_poly_match_sympy(rows):
+    matrix, m = IntMatrix(rows), sympy.Matrix(rows)
+    assert list(char_poly(matrix).coeffs) == _coeffs(m.charpoly(X).as_expr())
+    assert list(matrix_min_poly(matrix).coeffs) == _sympy_min_poly(m)
+
+
+def _monic(coeffs):
+    return IntPolynomial([*coeffs, 1])
+
+
+small_monics = st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+).map(_monic)
+products = st.builds(
+    lambda f, g: f * g,
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(_monic),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(_monic),
+)
+matrix_char_polys = square_matrices.map(lambda rows: char_poly(IntMatrix(rows)))
+
+
+@FEW
+@hypothesis.given(st.one_of(small_monics, products, matrix_char_polys))
+def test_decided_certificates_agree_with_sympy(p):
+    cert = irreducibility_certificate(p, 10)
+    irreducible = sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible
+    if cert.status is CertificateStatus.IRREDUCIBLE:
+        assert irreducible
+    elif cert.status is CertificateStatus.REDUCIBLE:
+        assert not irreducible
