@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import BackwardTelescope, DimensionMismatch, TooFewLevels
 from .exact import IntMatrix
-from .perron import PositivitySign, eventual_positivity, primitivity_check
+from .perron import eventual_positivity, primitivity_check
 
 
 @dataclass(frozen=True)

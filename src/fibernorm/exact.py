@@ -215,17 +215,18 @@ class IntMatrix:
 def char_poly(A):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; every division is by the step index and
-    exact, so arithmetic stays in the integers throughout.
+    Faddeev-LeVerrier recursion, carrying the product of A with the
+    previous step's matrix so that each step costs one matrix product.
+    Every division is by the step index and exact, so arithmetic stays in
+    the integers throughout.
     """
     k = A.k
     ident = IntMatrix.identity(k)
-    n_mat = IntMatrix([[0] * k for _ in range(k)])
+    an = IntMatrix([[0] * k for _ in range(k)])  # A times the previous N_m
     cs = [1]  # descending: coefficient of x^k, x^{k-1}, ...
     for m in range(1, k + 1):
-        n_mat = A * n_mat + cs[-1] * ident
-        t = (A * n_mat).trace()
-        q, r = divmod(-t, m)
+        an = A * (an + cs[-1] * ident)
+        q, r = divmod(-an.trace(), m)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         cs.append(q)
@@ -385,71 +386,17 @@ def _fp_powmod(base, exponent, modulus, q):
     return result
 
 
-def _fp_derivative(a, q):
-    return _fp_trim([(i * a[i]) % q for i in range(1, len(a))])
-
-
-def _fp_pth_root(a, q):
-    # a is a polynomial in x^q over F_q; Frobenius fixes the coefficients.
-    return [a[i] for i in range(0, len(a), q)]
-
-
-def _fp_squarefree_parts(f, q):
-    """Squarefree decomposition of monic f: list of (factor, multiplicity)."""
-    if len(f) <= 1:
-        return []
-    parts = []
-    deriv = _fp_derivative(f, q)
-    if not deriv:
-        for factor, mult in _fp_squarefree_parts(_fp_pth_root(f, q), q):
-            parts.append((factor, mult * q))
-        return parts
-    c = _fp_gcd(f, deriv, q)
-    w = _fp_divmod(f, c, q)[0]
-    i = 1
-    while w != [1]:
-        y = _fp_gcd(w, c, q)
-        z = _fp_divmod(w, y, q)[0]
-        if z != [1]:
-            parts.append((z, i))
-        w = y
-        c = _fp_divmod(c, y, q)[0]
-        i += 1
-    if c != [1]:
-        for factor, mult in _fp_squarefree_parts(_fp_pth_root(c, q), q):
-            parts.append((factor, mult * q))
-    return parts
-
-
-def _fp_distinct_degrees(f, q):
-    """Degrees of the irreducible factors of monic squarefree f.
-
-    Distinct-degree factorization: gcd against x^{q^i} - x peels off the
-    product of all degree-i factors; counting is enough here, no
-    equal-degree splitting is needed.
-    """
-    out = []
-    fstar = list(f)
-    h = _fp_divmod([0, 1], fstar, q)[1]
-    i = 1
-    while len(fstar) - 1 >= 2 * i:
-        h = _fp_powmod(h, q, fstar, q)
-        g = _fp_gcd(fstar, _fp_sub(h, [0, 1], q), q)
-        if g != [1]:
-            out.append((i, (len(g) - 1) // i))
-            fstar = _fp_divmod(fstar, g, q)[0]
-            h = _fp_divmod(h, fstar, q)[1]
-        i += 1
-    if len(fstar) - 1 >= 1:
-        out.append((len(fstar) - 1, 1))
-    return out
-
-
 def factor_mod_p(p, q):
-    """Multiset of irreducible factor degrees of p over F_q, sorted.
+    """Multiset of irreducible factor degrees of p over F_q, ascending.
 
-    Multiplicities are respected, so the returned degrees always sum to
-    deg p.  The prime must not divide the leading coefficient.
+    One distinct-degree pass: once the factors of degree below i are gone,
+    g = gcd(f, x^{q^i} - x) is the product of the distinct degree-i
+    factors.  Dividing g out of f and repeating g = gcd(f, g) peels the
+    repeated ones, so multiplicities are respected without a squarefree
+    decomposition and the degrees always sum to deg p.  Whatever is left
+    below degree 2i is a single irreducible factor; counting is enough
+    here, no equal-degree splitting is needed.  The prime must not divide
+    the leading coefficient.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -457,13 +404,22 @@ def factor_mod_p(p, q):
         raise ValueError(f"{q} is not prime")
     if p.coeffs[-1] % q == 0:
         raise BadReductionPrime(f"prime {q} divides the leading coefficient")
-    f = _fp_trim([c % q for c in p.coeffs])
-    f = _fp_monic(f, q)
+    f = _fp_monic(_fp_trim([c % q for c in p.coeffs]), q)
     degrees = []
-    for factor, mult in _fp_squarefree_parts(f, q):
-        for degree, count in _fp_distinct_degrees(factor, q):
-            degrees.extend([degree] * (count * mult))
-    return tuple(sorted(degrees))
+    h = _fp_divmod([0, 1], f, q)[1]  # x^{q^(i-1)} mod f at the loop head
+    i = 1
+    while len(f) - 1 >= 2 * i:
+        h = _fp_powmod(h, q, f, q)
+        g = _fp_gcd(f, _fp_sub(h, [0, 1], q), q)
+        while g != [1]:
+            degrees.extend([i] * ((len(g) - 1) // i))
+            f = _fp_divmod(f, g, q)[0]
+            g = _fp_gcd(f, g, q)
+        h = _fp_divmod(h, f, q)[1]
+        i += 1
+    if len(f) - 1 >= 1:
+        degrees.append(len(f) - 1)
+    return tuple(degrees)
 
 
 class CertificateStatus(Enum):

@@ -40,26 +40,6 @@ class PositivitySign:
     witness: int | None = None
     bound: int | None = None
 
-    @classmethod
-    def positive(cls, witness):
-        return cls(Sign.POSITIVE, witness=witness)
-
-    @classmethod
-    def negative(cls):
-        return cls(Sign.NEGATIVE)
-
-    @classmethod
-    def zero(cls):
-        return cls(Sign.ZERO)
-
-    @classmethod
-    def undecided(cls, bound):
-        return cls(Sign.UNDECIDED, bound=bound)
-
-    @property
-    def is_positive(self):
-        return self.sign is Sign.POSITIVE
-
 
 @dataclass(frozen=True)
 class PerronData:
@@ -81,24 +61,32 @@ class PerronData:
 def primitivity_check(A):
     """Smallest m with A^m entrywise positive, or raise NotPrimitive.
 
-    Works on the boolean positivity pattern, so entries never grow; the
-    Wielandt bound (k-1)^2 + 1 makes the loop a complete decision
-    procedure.
+    Works on the positivity pattern, one int bitmask per row, so entries
+    never grow: row i of the next power is the union of the masks of the
+    rows that row i of the current power reaches.  The Wielandt bound
+    (k-1)^2 + 1 makes the loop a complete decision procedure.
     """
     k = A.k
     if any(x < 0 for row in A.rows for x in row):
         raise NotNonnegative("matrix has a negative entry")
-    pattern = [[x > 0 for x in row] for row in A.rows]
+    masks = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in A.rows]
+    full = (1 << k) - 1
     bound = (k - 1) ** 2 + 1
-    current = pattern
+    current = masks
     for m in range(1, bound + 1):
-        if all(all(row) for row in current):
+        if all(row == full for row in current):
             return m
-        current = [
-            [any(current[i][t] and pattern[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
+        current = [_reach(row, masks) for row in current]
     raise NotPrimitive(f"no positive power within the Wielandt bound {bound}")
+
+
+def _reach(row, masks):
+    """Union of the masks whose index is a set bit of row."""
+    out = 0
+    for t, mask in enumerate(masks):
+        if row >> t & 1:
+            out |= mask
+    return out
 
 
 def _power_iterate(A, tol, max_iter):
@@ -147,10 +135,10 @@ def eventual_positivity(A, v):
         raise DimensionMismatch(f"vector has length {len(u)}, matrix has size {A.k}")
     for step in range(ITERATION_BOUND + 1):
         if all(x == 0 for x in u):
-            return PositivitySign.zero()
+            return PositivitySign(Sign.ZERO)
         if all(x >= 1 for x in u):
-            return PositivitySign.positive(step)
+            return PositivitySign(Sign.POSITIVE, witness=step)
         if all(x <= -1 for x in u):
-            return PositivitySign.negative()
+            return PositivitySign(Sign.NEGATIVE)
         u = A.apply(u)
-    return PositivitySign.undecided(ITERATION_BOUND)
+    return PositivitySign(Sign.UNDECIDED, bound=ITERATION_BOUND)

@@ -1,10 +1,13 @@
-"""The benchmark's tracer wraps fibernorm functions by name; they must exist."""
+"""The benchmark calls and wraps fibernorm functions by name; they must exist."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+WORKER = BENCH / "worker.py"
 
 
 def test_every_traced_name_resolves():
@@ -15,3 +18,13 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"fibernorm.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"fibernorm.{module_name}.{name}"
+
+
+def test_every_worker_call_resolves():
+    calls = re.findall(
+        r"\b(cli|dimgroup|norm|numberfield)\.([A-Za-z_]\w*)", WORKER.read_text()
+    )
+    assert calls
+    for module_name, name in calls:
+        module = importlib.import_module(f"fibernorm.{module_name}")
+        assert callable(getattr(module, name, None)), f"fibernorm.{module_name}.{name}"

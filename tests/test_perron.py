@@ -55,6 +55,10 @@ def _random_primitive(rng, max_k=5):
         return matrix
 
 
+def _cycle(k):
+    return [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+
+
 def test_primitivity_examples():
     assert primitivity_check(QUAD) == 1
     assert primitivity_check(FIB) == 2
@@ -62,6 +66,14 @@ def test_primitivity_examples():
         primitivity_check(IntMatrix.identity(2))
     with pytest.raises(NotNonnegative):
         primitivity_check(IntMatrix([[1, -1], [1, 1]]))
+    # Wielandt's extremal matrix, the k-cycle plus the edge k-1 -> 1, needs
+    # the full bound; a pure cycle never becomes positive.
+    for k in range(3, 9):
+        rows = _cycle(k)
+        rows[k - 1][1] = 1
+        assert primitivity_check(IntMatrix(rows)) == (k - 1) ** 2 + 1
+    with pytest.raises(NotPrimitive):
+        primitivity_check(IntMatrix(_cycle(6)))
 
 
 def test_primitivity_witness_is_smallest():

@@ -14,6 +14,7 @@ from fibernorm.exact import (
     IntMatrix,
     IntPolynomial,
     char_poly,
+    factor_mod_p,
     irreducibility_certificate,
     matrix_min_poly,
 )
@@ -118,3 +119,33 @@ def test_decided_certificates_agree_with_sympy(p):
         assert irreducible
     elif cert.status is CertificateStatus.REDUCIBLE:
         assert not irreducible
+
+
+def _power_product(q, pairs, qth):
+    """q and the product of f^e over the pairs, times g^q for each listed g."""
+    p = IntPolynomial([1])
+    for f, e in pairs:
+        for _ in range(e):
+            p = p * f
+    for g in qth:
+        for _ in range(q):
+            p = p * g
+    return q, p
+
+
+small_factors = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(_monic)
+repeated_factor_products = st.builds(
+    _power_product,
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=4),
+    st.lists(small_factors, max_size=1),
+).filter(lambda qp: qp[1].degree > 4)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(repeated_factor_products)
+def test_mod_q_degrees_with_multiplicity_match_sympy(qp):
+    q, p = qp
+    _, factors = sympy.Poly(list(reversed(p.coeffs)), X, modulus=q).factor_list()
+    expected = sorted(f.degree() for f, e in factors for _ in range(e))
+    assert list(factor_mod_p(p, q)) == expected
