@@ -3,19 +3,22 @@
 Everything in this module is arbitrary precision and uses only exact
 arithmetic (the characteristic polynomial comes from the Faddeev-LeVerrier
 recursion, whose interior divisions are exact), so results are
-bit-for-bit reproducible.  All values are immutable once built.
+bit-for-bit reproducible.  The one place floats enter is the search for a
+rational factor: numeric roots propose candidate factors, and only an
+exact division accepts one.  All values are immutable once built.
 """
 
+import cmath
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from math import comb, gcd, isqrt
+from math import gcd
 
-from .errors import BadReductionPrime
+from .errors import BadReductionPrime, NoConvergence
+from .roots import complex_roots
 
-# Deterministic cap on the monic-factor enumeration used by the
-# reducibility search; past it the certificate stays Undecided.
-_FACTOR_SEARCH_CAP = 200_000
+# Past this degree no rational factor is searched for (at most 162 root
+# subsets below it); the certificate stays Undecided.
 _FACTOR_SEARCH_MAX_DEGREE = 8
 
 DEFAULT_PRIME_BUDGET = 10
@@ -309,15 +312,14 @@ def is_prime(n):
     return True
 
 
+def _primes():
+    """Every prime, ascending; each is found only when it is reached."""
+    return filter(is_prime, itertools.count(2))
+
+
 def first_primes(count):
     """The first ``count`` primes, ascending."""
-    primes = []
-    n = 2
-    while len(primes) < count:
-        if is_prime(n):
-            primes.append(n)
-        n += 1
-    return primes
+    return list(itertools.islice(_primes(), count))
 
 
 # --- arithmetic in F_q[x]: plain ascending coefficient lists -----------------
@@ -335,8 +337,8 @@ def _fp_mul(a, b, q):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    return _fp_trim(out)
+                out[i + j] += x * y
+    return _fp_trim([c % q for c in out])
 
 
 def _fp_sub(a, b, q):
@@ -352,19 +354,20 @@ def _fp_monic(a, q):
 
 
 def _fp_divmod(a, b, q):
-    b = _fp_monic(list(b), q)
+    if b[-1] != 1:
+        b = _fp_monic(b, q)
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
         return [], _fp_trim(rem)
     quot = [0] * (len(rem) - db)
     for i in reversed(range(len(quot))):
-        c = rem[i + db]
+        c = rem[i + db] % q  # entries are reduced only when read
         if c:
             quot[i] = c
             for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * y) % q
-    return _fp_trim(quot), _fp_trim(rem)
+                rem[i + j] -= c * y
+    return _fp_trim(quot), _fp_trim([x % q for x in rem])
 
 
 def _fp_gcd(a, b, q):
@@ -436,14 +439,17 @@ class IrreducibilityCertificate:
     Irreducible: no proper factor degree is a subset sum of every pattern;
     ``witness_prime`` is a prime where the polynomial stays in one piece of
     full degree, or None when only the patterns together rule factors out.
-    Reducible carries the degrees of an exact rational split that was
-    actually found.  Undecided is an honest answer, not an error.
+    Reducible carries ``factor``, a monic integer factor of proper degree
+    that divides the polynomial exactly (one ``div_rem`` checks it), and
+    the degrees of that split.  Undecided is an honest answer, not an
+    error.
     """
 
     status: CertificateStatus
     witness_prime: int | None = None
     factor_degrees: tuple[int, ...] | None = None
     patterns: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    factor: IntPolynomial | None = None
 
 
 def _proper_subset_sums(degrees, full):
@@ -454,57 +460,33 @@ def _proper_subset_sums(degrees, full):
     return {d for d in range(1, full) if bits >> d & 1}
 
 
-def _signed_divisors(n):
-    """Divisors of |n| with both signs, smallest magnitude first.
+def _factor_from_roots(p, candidate_degrees):
+    """A monic integer factor of p with a degree in the candidate set, or None.
 
-    Trial division stops at sqrt|n|; None when that alone would pass the
-    factor-search cap.
-    """
-    n = abs(n)
-    root = isqrt(n)
-    if root > _FACTOR_SEARCH_CAP:
-        return None
-    small = [d for d in range(1, root + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if n // d != d]
-    return [s for d in small + large for s in (d, -d)]
-
-
-def _bounded_factor_search(p, candidate_degrees):
-    """Look for a monic integer factor whose degree is in the candidate set.
-
-    Coefficients are enumerated inside the elementary-symmetric bound that
-    the Cauchy root radius gives; the search is skipped wholesale when the
-    candidate space exceeds a fixed cap, keeping runtime deterministic.
+    Every monic integer factor of degree d is the product of (x - r) over
+    d of the complex roots r of p.  Each d-subset of the numeric roots is
+    multiplied out and rounded to integers: the floats only propose
+    candidates, and a candidate counts only when it divides p exactly.
+    Roots that cannot be computed in floating point, or products that are
+    not finite, propose nothing.
     """
     k = p.degree
     if k > _FACTOR_SEARCH_MAX_DEGREE:
         return None
-    a0 = p.coeffs[0]
-    if a0 == 0:
-        return IntPolynomial([0, 1])
-    divisors = _signed_divisors(a0)
-    if divisors is None:
+    try:
+        roots = complex_roots(p)
+    except NoConvergence:
         return None
-    root_bound = 1 + max(abs(c) for c in p.coeffs[:-1])
-    for d in sorted(candidate_degrees):
-        if d > k // 2:
-            continue
-        constants = [c for c in divisors if abs(c) <= root_bound**d]
-        bounds = [comb(d, d - j) * root_bound ** (d - j) for j in range(1, d)]
-        total = len(constants)
-        for b in bounds:
-            total *= 2 * b + 1
-            if total > _FACTOR_SEARCH_CAP:
-                break
-        if total > _FACTOR_SEARCH_CAP:
-            continue
-        ranges = [range(-b, b + 1) for b in bounds]
-        for constant in constants:
-            for middle in product(*ranges):
-                candidate = IntPolynomial([constant, *middle, 1])
-                _, rem = p.div_rem(candidate)
-                if rem.is_zero:
-                    return candidate
+    for d in sorted(d for d in candidate_degrees if d <= k // 2):
+        for subset in itertools.combinations(roots, d):
+            coeffs = [1]  # descending coefficients of the product so far
+            for r in subset:
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            if not all(cmath.isfinite(c) for c in coeffs):
+                continue
+            candidate = IntPolynomial([round(c.real) for c in reversed(coeffs)])
+            if p.div_rem(candidate)[1].is_zero:
+                return candidate
     return None
 
 
@@ -513,10 +495,13 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
 
     A monic factor of degree d reduces mod every prime to factors whose
     degrees sum to d, so the proper subset sums of the mod-q patterns are
-    intersected over the prime budget: an empty intersection proves
-    irreducibility.  If room is left, a bounded coefficient search tries
-    to produce a factor exactly.  Everything else is Undecided, such as
-    x^4 + 1, whose patterns leave degree 2 at every prime.
+    intersected over the prime budget, each prime generated only when the
+    loop reaches it: an empty intersection proves irreducibility.  If
+    degrees are left (and the degree is at most 8), products of the
+    numeric roots propose integer factors of those degrees, and exact
+    division decides: Reducible is returned only with a factor that
+    divides p.  Everything else is Undecided, such as x^4 + 1, which is
+    irreducible but whose patterns leave degree 2 at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -525,7 +510,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     k = p.degree
     possible = set(range(1, k))
     patterns = ()
-    for q in first_primes(prime_budget):
+    for q in itertools.islice(_primes(), prime_budget):
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
         possible &= _proper_subset_sums(degrees, k)
@@ -536,11 +521,12 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                 factor_degrees=(k,),
                 patterns=patterns,
             )
-    factor = _bounded_factor_search(p, possible)
+    factor = _factor_from_roots(p, possible)
     if factor is not None:
         return IrreducibilityCertificate(
             CertificateStatus.REDUCIBLE,
             factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
             patterns=patterns,
+            factor=factor,
         )
     return IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)

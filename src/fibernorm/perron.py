@@ -91,10 +91,14 @@ def _reach(row, masks):
 
 def _power_iterate(A, tol, max_iter):
     k = A.k
+    try:
+        rows = [[float(a) for a in row] for row in A.rows]
+    except OverflowError:
+        raise NoConvergence("matrix entries do not fit in a float") from None
     v = [1.0 / k] * k
     rq_prev = None
     for _ in range(max_iter):
-        w = [sum(a * x for a, x in zip(row, v)) for row in A.rows]
+        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
         rq = sum(x * y for x, y in zip(v, w)) / sum(x * x for x in v)
         total = sum(w)
         w = [x / total for x in w]

@@ -1,33 +1,36 @@
 """Floating-point root finding for integer polynomials.
 
-Used only as a numeric cross-check (field embeddings, spectral gap); the
-exact integer paths elsewhere never depend on these values.
+Used as a numeric cross-check (field embeddings, spectral gap) and to
+propose candidate factors to the irreducibility certificate; no exact
+result depends on these values, since a proposed factor counts only
+after an exact division.
 """
 
 import cmath
+
+from .errors import NoConvergence
 
 _MAX_SWEEPS = 600
 _STEP_TOL = 1e-13
 
 
-def cauchy_bound(p):
-    """Radius beyond which a polynomial has no roots (Cauchy's bound)."""
-    lead = abs(p.coeffs[-1])
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree > 0 else 1.0
-
-
 def complex_roots(p):
     """All complex roots of p, via Durand-Kerner simultaneous iteration.
 
-    Deterministic start points on a circle of the Cauchy radius, updated
+    Deterministic start points on the circle whose radius is the geometric
+    mean of the root moduli, |a_0 / a_n|^(1/n) (1 when a_0 = 0), updated
     in place (Gauss-Seidel style).  Returns roots sorted by real part,
-    then imaginary part.
+    then imaginary part.  Raises NoConvergence when a coefficient ratio
+    does not fit in a float.
     """
     n = p.degree
     if n <= 0:
         return []
     lead = p.coeffs[-1]
-    coeffs = [c / lead for c in p.coeffs]
+    try:
+        coeffs = [c / lead for c in p.coeffs]
+    except OverflowError:
+        raise NoConvergence("polynomial coefficients do not fit in a float") from None
     if n == 1:
         return [complex(-coeffs[0])]
 
@@ -37,7 +40,7 @@ def complex_roots(p):
             acc = acc * z + c
         return acc
 
-    radius = cauchy_bound(p)
+    radius = abs(coeffs[0]) ** (1 / n) or 1.0
     # Offset angle keeps the start points off the real axis and off any
     # root symmetry line.
     z = [radius * cmath.exp(1j * (2 * cmath.pi * i / n + 0.37)) for i in range(n)]

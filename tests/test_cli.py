@@ -121,6 +121,11 @@ def test_trace_subcommand(tmp_path):
     code, out, _ = run_cli(["trace", "--input", path, "--element", "[1,1]"])
     assert code == 0
     assert out == "trace_functional = [2,3]\nelement = [1,1]\ntrace = 5\n"
+    # decided at the first prime, so a huge budget costs nothing
+    code, again, _ = run_cli(
+        ["trace", "--input", path, "--element", "[1,1]", "--prime-budget", "100000000"]
+    )
+    assert (code, again) == (0, out)
 
 
 def test_norm_subcommand(tmp_path):
@@ -225,8 +230,10 @@ def test_exit_codes_and_error_lines(tmp_path):
     )
     scalar = write_doc(tmp_path, "scalar.txt", "matrix = [[2,0],[0,2]]\n")
     oscillating = write_doc(tmp_path, "osc.txt", "matrix = [[1,2],[1,0]]\n")
-    # x^2 - 10^12: the divisor enumeration is past its budget, never run
+    # x^2 - 10^12 = (x - 10^6)(x + 10^6): the factor comes from the roots
     huge = write_doc(tmp_path, "huge.txt", "matrix = [[0,1000000000000],[1,0]]\n")
+    # an entry of 2^1100 does not fit in a float
+    too_big = write_doc(tmp_path, "big.txt", f"matrix = [[{2**1100},1],[1,1]]\n")
     # k=10 companion with 160-bit coefficients: the spectral gap overflows
     rows = [[int(j == i - 1) for j in range(9)] + [2**160] for i in range(10)]
     overflow = write_doc(tmp_path, "c10.txt", f"matrix = {rows}\n".replace(" ", ""))
@@ -235,6 +242,8 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["charpoly", "--input", quad], 0, None),
         (["trace", "--input", scalar, "--element", "[1,0]"], 1, "DegenerateMonodromy"),
         (["perron", "--input", overflow], 1, "NoConvergence"),
+        (["perron", "--input", too_big], 1, "NoConvergence"),
+        (["trace", "--input", too_big, "--element", "[1,1]"], 1, "NoConvergence"),
         (["nonsense", "--input", quad], 2, "UsageError"),
         (["charpoly", "--input", quad, "--bogus", "1"], 2, "UsageError"),
         (["charpoly", "--input", broken], 2, "ParseError"),
@@ -256,7 +265,7 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["dimgroup", "--input", quad, "--stage", "-1"], 2, "UsageError"),
         (["trace", "--input", undecidable, "--element", "[1,0,0,0]"], 3,
          "IrreducibilityUnverified"),
-        (["trace", "--input", huge, "--element", "[1,1]"], 3, "IrreducibilityUnverified"),
+        (["trace", "--input", huge, "--element", "[1,1]"], 1, "NotAField"),
         (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),
         (["validate", "--input", quad], 2, "UsageError"),  # matrix-only doc, bundle subcommand
     ]

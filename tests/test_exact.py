@@ -17,7 +17,6 @@ from fibernorm.exact import (
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
-    _signed_divisors,
     char_poly,
     factor_mod_p,
     first_primes,
@@ -333,6 +332,7 @@ def test_certificate_examples():
     cert = irreducibility_certificate(IntPolynomial([-1, 0, 1]), 5)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
+    assert cert.factor in (IntPolynomial([-1, 1]), IntPolynomial([1, 1]))
 
 
 def test_certificate_witness_is_checkable():
@@ -381,6 +381,8 @@ def test_certificate_finds_built_reducible_products():
         cert = irreducibility_certificate(product, 10)
         assert cert.status is CertificateStatus.REDUCIBLE
         assert sum(cert.factor_degrees) == product.degree
+        assert cert.factor.degree in cert.factor_degrees
+        assert product.div_rem(cert.factor)[1].is_zero
 
 
 def test_certificate_square_is_reducible():
@@ -390,24 +392,46 @@ def test_certificate_square_is_reducible():
 
 
 def test_certificate_divisor_enumeration_is_bounded():
-    for n in range(1, 300):
-        brute = [s for d in range(1, n + 1) if n % d == 0 for s in (d, -d)]
-        assert _signed_divisors(n) == brute
+    # Large constant terms once meant enumerating their divisors; the
+    # factor now comes from the roots, so its size costs nothing.
     cert = irreducibility_certificate(IntPolynomial([-16_000_000, 0, 1]), 10)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
-    # sqrt(10^12) trial divisions would pass the search cap: no search runs.
     start = time.perf_counter()
     cert = irreducibility_certificate(IntPolynomial([-(10**12), 0, 1]), 10)
-    assert cert.status is CertificateStatus.UNDECIDED
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert cert.factor_degrees == (1, 1)
+    assert cert.factor in (IntPolynomial([-(10**6), 1]), IntPolynomial([10**6, 1]))
     assert time.perf_counter() - start < 5
+
+
+def test_certificate_undecided_when_roots_do_not_fit_a_float():
+    # (x - 2^1100)(x + 1): the patterns leave degree 1 open, and the
+    # coefficients overflow a float, so no candidate factor is proposed.
+    p = IntPolynomial([-(2**1100), 1]) * IntPolynomial([1, 1])
+    cert = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.UNDECIDED
+    assert cert.factor is None
+
+
+def test_certificate_reads_primes_only_as_far_as_needed():
+    # x^2 - x - 1 is decided at q = 2; a huge budget must not be paid for.
+    p = IntPolynomial([-1, -1, 1])
+    start = time.perf_counter()
+    cert = irreducibility_certificate(p, 10**8)
+    assert time.perf_counter() - start < 1
+    assert cert == irreducibility_certificate(p, 10)
+    assert cert.witness_prime == 2
 
 
 def test_certificate_undecided_for_everywhere_split_polynomial():
     # x^4 + 1 is irreducible over Q but splits modulo every prime, so it
     # can never earn a single-prime witness.
+    # Its roots propose candidates such as x^2 - x + 1 (rounded from
+    # x^2 - sqrt(2)x + 1), and exact division rejects every one.
     cert = irreducibility_certificate(IntPolynomial([1, 0, 0, 0, 1]), 10)
     assert cert.status is CertificateStatus.UNDECIDED
+    assert cert.factor is None
 
 
 def test_first_primes():

@@ -130,6 +130,17 @@ def test_spectral_dominance_on_random_matrices():
             assert abs(rho) < data.eigenvalue + 1e-12
 
 
+def test_gap_stays_finite_on_a_large_random_matrix():
+    # The char poly of this k=32 matrix has 51-bit coefficients: started on
+    # the Cauchy radius (~2^51), Durand-Kerner overflowed to NaN roots.
+    rng = random.Random(0)
+    matrix = IntMatrix([[rng.randint(0, 2) for _ in range(32)] for _ in range(32)])
+    data = perron_data(matrix)
+    top = max(abs(z) for z in complex_roots(char_poly(matrix)))
+    assert abs(top - data.eigenvalue) < 1e-9 * data.eigenvalue
+    assert 0.0 < data.gap < 1.0
+
+
 def test_no_convergence_when_budget_exhausted():
     with pytest.raises(NoConvergence):
         perron_data(QUAD, tol=1e-12, max_iter=1)

@@ -1,4 +1,4 @@
-"""Differential checks of the exact layers against sympy.
+"""Differential checks of the exact layers and the root finder against sympy.
 
 sympy and hypothesis are test-only dependencies; the module is skipped
 when either is missing.  The minimal-polynomial oracle is built from
@@ -18,6 +18,7 @@ from fibernorm.exact import (
     irreducibility_certificate,
     matrix_min_poly,
 )
+from fibernorm.roots import complex_roots
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -119,6 +120,42 @@ def test_decided_certificates_agree_with_sympy(p):
         assert irreducible
     elif cert.status is CertificateStatus.REDUCIBLE:
         assert not irreducible
+
+
+monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_monic)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(monic_factors, monic_factors)
+def test_products_of_two_factors_are_reducible_with_a_dividing_factor(f, g):
+    p = f * g
+    cert = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert 0 < cert.factor.degree < p.degree
+    assert p.div_rem(cert.factor)[1].is_zero
+    assert not sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible
+
+
+squarefree_polys = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+        st.integers(-3, 3).filter(bool),
+    )
+).map(lambda cl: IntPolynomial([*cl[0], cl[1]])).filter(
+    lambda p: sympy.Poly(list(reversed(p.coeffs)), X).is_sqf
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(squarefree_polys)
+def test_complex_roots_match_sympy_nroots(p):
+    ours = list(complex_roots(p))
+    theirs = sympy.Poly(list(reversed(p.coeffs)), X).nroots(n=15, maxsteps=200)
+    assert len(ours) == len(theirs) == p.degree
+    for root in map(complex, theirs):
+        nearest = min(ours, key=lambda z: abs(z - root))
+        assert abs(nearest - root) <= 1e-9 * max(1.0, abs(root)), (p, root, nearest)
+        ours.remove(nearest)
 
 
 def _power_product(q, pairs, qth):
