@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from .bundle import SingularityData, build_bundle, h2_rank, validate_singularity_data
 from .dimgroup import DimGroupElement, bratteli_dot, check_levels, is_positive, make_dim_group
 from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
-from .exact import IntMatrix, char_poly
+from .exact import DEFAULT_PRIME_BUDGET, IntMatrix, char_poly
 from .norm import ConeDescription, cone_membership, enumerate_cone_points, fiber_class_report
 from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
-from .perron import Sign, perron_data
+from .perron import DEFAULT_MAX_ITER, DEFAULT_TOL, Sign, perron_data
 
 USAGE = """\
 usage: fibernorm <subcommand> --input <path> [flags]
@@ -113,9 +113,9 @@ class InputDocument:
 @dataclass
 class Options:
     input: str | None = None
-    tol: float = 1e-12
-    max_iter: int = 100_000
-    prime_budget: int = 10
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    prime_budget: int = DEFAULT_PRIME_BUDGET
     element: tuple[int, ...] | None = None
     klass: tuple[int, ...] | None = None
     fiber_class: tuple[int, ...] | None = None

@@ -21,6 +21,9 @@ from .roots import complex_roots
 # subsets below it); the certificate stays Undecided.
 _FACTOR_SEARCH_MAX_DEGREE = 8
 
+# The factor search runs once this many primes in a row narrow nothing.
+_STALL_PRIMES = 4
+
 DEFAULT_PRIME_BUDGET = 10
 
 
@@ -500,8 +503,9 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     degrees are left (and the degree is at most 8), products of the
     numeric roots propose integer factors of those degrees, and exact
     division decides: Reducible is returned only with a factor that
-    divides p.  Everything else is Undecided, such as x^4 + 1, which is
-    irreducible but whose patterns leave degree 2 at every prime.
+    divides p.  The search runs once: when _STALL_PRIMES primes in a row
+    narrow nothing, or at the last prime.  Anything else is Undecided, as
+    is x^4 + 1, irreducible but with degree 2 open at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -510,10 +514,14 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     k = p.degree
     possible = set(range(1, k))
     patterns = ()
+    stalled = 0
+    searched = False
     for q in itertools.islice(_primes(), prime_budget):
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
-        possible &= _proper_subset_sums(degrees, k)
+        narrowed = possible & _proper_subset_sums(degrees, k)
+        stalled = stalled + 1 if narrowed == possible else 0
+        possible = narrowed
         if not possible:
             return IrreducibilityCertificate(
                 CertificateStatus.IRREDUCIBLE,
@@ -521,7 +529,11 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                 factor_degrees=(k,),
                 patterns=patterns,
             )
-    factor = _factor_from_roots(p, possible)
+        if not searched and (stalled == _STALL_PRIMES or len(patterns) == prime_budget):
+            searched = True
+            factor = _factor_from_roots(p, possible)
+            if factor is not None:
+                break
     if factor is not None:
         return IrreducibilityCertificate(
             CertificateStatus.REDUCIBLE,

@@ -12,6 +12,7 @@ can be computed three independent ways:
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -48,7 +49,7 @@ class NumberFieldOrder:
     one from a matrix and refuses anything degenerate.
     """
 
-    __slots__ = ("min_poly", "degree", "certificate", "_powers", "_traces", "_roots")
+    __slots__ = ("min_poly", "degree", "certificate", "_traces", "_roots")
 
     def __init__(self, min_poly, certificate):
         if not min_poly.is_monic or min_poly.degree < 2:
@@ -58,17 +59,11 @@ class NumberFieldOrder:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.certificate = certificate
-        k = self.degree
-        powers = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-        for _ in range(k - 1):
-            powers.append(self._times_generator(powers[-1]))
-        self._powers = powers
-        self._traces = tuple(newton_power_sums(min_poly, k - 1))
+        self._traces = tuple(newton_power_sums(min_poly, self.degree - 1))
         self._roots = tuple(complex_roots(min_poly))
 
     def _times_generator(self, coords):
         # Multiply by lambda: shift, then fold lambda^k = -(lower terms).
-        k = self.degree
         top = coords[-1]
         shifted = (0,) + coords[:-1]
         if not top:
@@ -82,10 +77,6 @@ class NumberFieldOrder:
                 f"element has {len(out)} coordinates, order has degree {self.degree}"
             )
         return out
-
-    def embeddings(self):
-        """Numeric images of the generator under all complex embeddings."""
-        return self._roots
 
     def __repr__(self):
         return f"NumberFieldOrder(min_poly={list(self.min_poly.coeffs)!r})"
@@ -115,20 +106,12 @@ def build_order(A, prime_budget=DEFAULT_PRIME_BUDGET):
 def mult_matrix(order, a):
     """Matrix of multiplication by a in the power basis; exact integers.
 
-    Row i holds the coordinates of a * lambda^i reduced by the minimal
-    polynomial.
+    Row i holds the coordinates of a * lambda^i: row 0 is a itself, and
+    each row is the one before times the generator.
     """
-    coords = order.element(a)
-    k = order.degree
-    rows = []
-    for i in range(k):
-        acc = [0] * k
-        for j, c in enumerate(coords):
-            if c:
-                power = order._powers[i + j]
-                for idx in range(k):
-                    acc[idx] += c * power[idx]
-        rows.append(acc)
+    rows = [order.element(a)]
+    for _ in range(order.degree - 1):
+        rows.append(order._times_generator(rows[-1]))
     return IntMatrix(rows)
 
 
@@ -148,17 +131,18 @@ def trace_via_embeddings(order, a, tol=1e-8):
 
     Purely a numeric cross-check: the sum must be finite and land within
     tol of an integer, or EmbeddingMismatch is raised to flag a
-    root-finding or logic bug.
+    root-finding or logic bug.  So does a sum whose float spacing exceeds
+    tol, since at that size every float passes the integer test.
     """
     coords = order.element(a)
     total = 0j
-    for root in order.embeddings():
+    for root in order._roots:  # the generator under each complex embedding
         value = 0j
         for c in reversed(coords):
             value = value * root + c
         total += value
-    if not cmath.isfinite(total):
-        raise EmbeddingMismatch(f"embedding sum {total} is not finite")
+    if not cmath.isfinite(total) or math.ulp(total.real) > tol:
+        raise EmbeddingMismatch(f"embedding sum {total} cannot be checked within {tol}")
     nearest = round(total.real)
     if abs(total.imag) > tol or abs(total.real - nearest) > tol:
         raise EmbeddingMismatch(f"embedding sum {total} is not integral within {tol}")

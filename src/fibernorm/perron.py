@@ -1,11 +1,13 @@
 """Perron-Frobenius data for primitive nonnegative integer matrices.
 
 Primitivity is decided exactly on the positivity pattern (Wielandt's
-bound caps the power to test).  The dominant eigendata is numeric, but
-sign questions about lattice vectors are settled by exact integer
+bound caps the power to test).  The dominant eigendata is numeric (the
+roots give the Perron root and gap, power iteration the eigenvectors),
+but sign questions about lattice vectors are settled by exact integer
 iteration: the floating eigenvector is never the authority.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +47,7 @@ class PositivitySign:
 class PerronData:
     """Dominant eigendata of a primitive matrix.
 
-    eigenvalue: the Perron root, strictly dominant in modulus.
+    eigenvalue: the Perron root, the largest root modulus.
     right/left: entrywise positive eigenvectors, L1 normalized.
     gap: |second largest root| / eigenvalue, always < 1.
     witness: smallest m with A^m entrywise positive.
@@ -90,38 +92,39 @@ def _reach(row, masks):
 
 
 def _power_iterate(A, tol, max_iter):
-    k = A.k
     try:
-        rows = [[float(a) for a in row] for row in A.rows]
+        # Nonzero entries only: skipping zero terms leaves every sum unchanged.
+        rows = [[(j, float(a)) for j, a in enumerate(row) if a] for row in A.rows]
     except OverflowError:
         raise NoConvergence("matrix entries do not fit in a float") from None
-    v = [1.0 / k] * k
-    rq_prev = None
+    v = [1.0 / A.k] * A.k
     for _ in range(max_iter):
-        w = [sum(a * x for a, x in zip(row, v)) for row in rows]
-        rq = sum(x * y for x, y in zip(v, w)) / sum(x * x for x in v)
+        w = [sum(a * v[j] for j, a in row) for row in rows]
         total = sum(w)
         w = [x / total for x in w]
-        if rq_prev is not None and abs(rq - rq_prev) < tol:
-            return tuple(w), rq
-        rq_prev = rq
+        if sum(abs(x - y) for x, y in zip(w, v)) < tol:
+            return tuple(w)
         v = w
     raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")
 
 
 def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Dominant eigenvalue and positive eigenvectors by power iteration.
+    """Dominant eigenvalue, spectral gap and positive eigenvectors.
 
-    Iterates on A and on its transpose until successive Rayleigh
-    quotients differ by less than tol.  The spectral gap is estimated
-    from the full numeric root set of the characteristic polynomial.
+    The Perron root is the largest modulus among the numeric roots of the
+    characteristic polynomial, and the gap is the second largest over it;
+    roots that are not finite raise NoConvergence.  Power iteration on A
+    and on its transpose gives only the eigenvectors, each stopped once
+    successive L1-normalized iterates differ by less than tol in L1 norm.
     """
     witness = primitivity_check(A)
-    right, eigenvalue = _power_iterate(A, tol, max_iter)
-    left, _ = _power_iterate(A.transpose(), tol, max_iter)
     moduli = sorted((abs(r) for r in complex_roots(char_poly(A))), reverse=True)
+    if not all(math.isfinite(m) for m in moduli):
+        raise NoConvergence("characteristic polynomial roots are not finite")
+    right = _power_iterate(A, tol, max_iter)
+    left = _power_iterate(A.transpose(), tol, max_iter)
     gap = moduli[1] / moduli[0] if len(moduli) > 1 else 0.0
-    return PerronData(eigenvalue=eigenvalue, right=right, left=left, gap=gap, witness=witness)
+    return PerronData(eigenvalue=moduli[0], right=right, left=left, gap=gap, witness=witness)
 
 
 def eventual_positivity(A, v):

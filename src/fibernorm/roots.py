@@ -1,9 +1,9 @@
 """Floating-point root finding for integer polynomials.
 
-Used as a numeric cross-check (field embeddings, spectral gap) and to
-propose candidate factors to the irreducibility certificate; no exact
-result depends on these values, since a proposed factor counts only
-after an exact division.
+Used for the Perron root and gap, the field embeddings (a numeric
+cross-check) and candidate factors for the irreducibility certificate;
+no exact result depends on these values, since a proposed factor counts
+only after an exact division.
 """
 
 import cmath

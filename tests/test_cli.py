@@ -266,6 +266,8 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["trace", "--input", undecidable, "--element", "[1,0,0,0]"], 3,
          "IrreducibilityUnverified"),
         (["trace", "--input", huge, "--element", "[1,1]"], 1, "NotAField"),
+        (["trace", "--input", huge, "--element", "[1,1]", "--prime-budget", "100000000"], 1,
+         "NotAField"),
         (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),
         (["validate", "--input", quad], 2, "UsageError"),  # matrix-only doc, bundle subcommand
     ]

@@ -424,6 +424,20 @@ def test_certificate_reads_primes_only_as_far_as_needed():
     assert cert.witness_prime == 2
 
 
+def test_certificate_stops_reading_primes_once_a_factor_is_found():
+    # x^2 - 10^12 never empties its degree set; once the primes stop
+    # narrowing it, the factor search runs instead of waiting for the
+    # budget, so 10^8 primes cost what 10 do and give the same answer.
+    p = IntPolynomial([-(10**12), 0, 1])
+    start = time.perf_counter()
+    cert = irreducibility_certificate(p, 10**8)
+    assert time.perf_counter() - start < 1
+    small = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert (cert.factor, cert.factor_degrees) == (small.factor, small.factor_degrees)
+    assert cert.patterns == small.patterns[: len(cert.patterns)]
+
+
 def test_certificate_undecided_for_everywhere_split_polynomial():
     # x^4 + 1 is irreducible over Q but splits modulo every prime, so it
     # can never earn a single-prime witness.

@@ -107,6 +107,22 @@ def test_mult_matrix_examples():
         mult_matrix(order, (1, 0, 0))
 
 
+def test_mult_matrix_is_the_polynomial_in_the_generator_matrix():
+    # a = sum a_j lambda^j, so multiplication by a is sum a_j M^j, where M
+    # multiplies by lambda; pins every row of every size, not just 2x2.
+    rng = random.Random(2718)
+    for _ in range(15):
+        _, order = _random_certified_matrix(rng, max_k=6)
+        k = order.degree
+        generator = mult_matrix(order, (0, 1) + (0,) * (k - 2))
+        for _ in range(3):
+            a = tuple(rng.randint(-9, 9) for _ in range(k))
+            expected = IntMatrix([[0] * k for _ in range(k)])
+            for j, c in enumerate(a):
+                expected = expected + c * generator**j
+            assert mult_matrix(order, a) == expected
+
+
 def test_trace_examples():
     order = build_order(QUAD, 5)
     assert trace_via_mult(order, (0, 1)) == 3
@@ -198,3 +214,12 @@ def test_embeddings_guard_trips_on_non_finite_sum():
     with pytest.raises(EmbeddingMismatch) as info:
         trace_via_embeddings(order, (1, 0, 0))
     assert isinstance(info.value, FibernormError)
+
+
+def test_embeddings_refuse_sums_too_large_to_check():
+    # Above 2^52 every float is an integer, so the tol test would pass any
+    # sum: the float says 2^60 where the exact trace is 2^60 + 1.
+    order = build_order(IntMatrix([[0, 1], [1, 2**60 + 1]]))
+    assert trace_via_newton(order, (0, 1)) == 2**60 + 1
+    with pytest.raises(EmbeddingMismatch):
+        trace_via_embeddings(order, (0, 1))

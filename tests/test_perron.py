@@ -1,5 +1,6 @@
 """Primitivity, dominant eigendata, and exact sign decisions."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -42,6 +43,18 @@ def _largest_real_root(p, steps=120):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def _brackets_root(p, lam, rel=Fraction(1, 10**12)):
+    """Whether p changes sign on [lam (1 - rel), lam (1 + rel)], exactly."""
+    lam = Fraction(lam)
+    return p(lam * (1 - rel)) * p(lam * (1 + rel)) <= 0
+
+
+def _companion(coeffs):
+    """Companion matrix of x^k - sum_i coeffs[i] x^i."""
+    k = len(coeffs)
+    return IntMatrix([[int(j == i - 1) for j in range(k - 1)] + [c] for i, c in enumerate(coeffs)])
 
 
 def _random_primitive(rng, max_k=5):
@@ -139,6 +152,32 @@ def test_gap_stays_finite_on_a_large_random_matrix():
     top = max(abs(z) for z in complex_roots(char_poly(matrix)))
     assert abs(top - data.eigenvalue) < 1e-9 * data.eigenvalue
     assert 0.0 < data.gap < 1.0
+
+
+def test_perron_root_is_relatively_exact_on_a_cycle_with_a_loop():
+    # A 16-cycle plus one self-loop has gap 0.94: a Rayleigh quotient with
+    # an absolute stopping test stopped 1.2e-10 short of the root.
+    rows = _cycle(16)
+    rows[0][0] = 1
+    matrix = IntMatrix(rows)
+    data = perron_data(matrix)
+    assert _brackets_root(char_poly(matrix), data.eigenvalue)
+
+
+def test_perron_settles_on_a_root_near_2_to_the_40():
+    # Successive iterates are compared in relative (L1-normalized) terms,
+    # so a Perron root near 9e11 settles like any other.
+    matrix = _companion([783527408893, 753130058915, 769707099532, 909504909443])
+    data = perron_data(matrix)
+    values = (data.eigenvalue, data.gap, *data.right, *data.left)
+    assert all(math.isfinite(x) for x in values)
+    assert _brackets_root(char_poly(matrix), data.eigenvalue)
+
+
+def test_perron_raises_when_roots_are_not_finite():
+    # k=10 companion with 160-bit coefficients: the root finder overflows.
+    with pytest.raises(NoConvergence):
+        perron_data(_companion([2**160] * 10))
 
 
 def test_no_convergence_when_budget_exhausted():
