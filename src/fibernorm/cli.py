@@ -21,6 +21,7 @@ non-finite float, 2 parse or usage error, 3 undecided within budget).
 Diagnostics go to stderr.
 """
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -61,6 +62,15 @@ flags:
   --vector [v1,...]     dimension group vector       (default all ones)
   --format text|dot     bratteli output format       (default text)
 """
+
+# Most cone points a --box scan or lines a DOT diagram may enumerate.
+_OUTPUT_BUDGET = 10**6
+
+
+def _check_budget(count, what):
+    if count > _OUTPUT_BUDGET:
+        raise UsageError(f"{what} enumerates more than {_OUTPUT_BUDGET} items")
+
 
 # Global key order for reports; every subcommand emits a subsequence.
 _KEY_ORDER = (
@@ -130,10 +140,13 @@ class Options:
 
 def _parse_int(text, line):
     text = text.strip()
-    sign = text[1:] if text[:1] in "+-" else text
-    if not sign.isdigit():
+    digits = text[1:] if text[:1] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"expected an integer, got {text!r}", line)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise ParseError(f"integer of {len(digits)} digits is too long", line) from None
 
 
 def _parse_bare_int_list(text, line):
@@ -236,7 +249,10 @@ def _format_value(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's digit limit; Decimal has none
+            return str(decimal.Decimal(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NoConvergence(f"non-finite value {value} in the report")
@@ -320,6 +336,7 @@ def _cmd_cone(doc, opts):
         pairs.append(("class", opts.klass))
         pairs.append(("membership", cone_membership(cone, opts.klass).value))
     if opts.box is not None:
+        _check_budget((2 * opts.box + 1) ** len(functional.t), f"--box {opts.box}")
         pairs.append(("cone_points", enumerate_cone_points(cone, opts.box)))
     return pairs
 
@@ -357,14 +374,16 @@ def _cmd_dimgroup(doc, opts):
 
 def _cmd_bratteli(doc, opts):
     group = make_dim_group(doc.matrix)
-    if opts.format == "dot":
-        return bratteli_dot(group, opts.levels)
     check_levels(opts.levels)
-    entry_sum = sum(sum(row) for row in doc.matrix.rows)
+    vertex_count = opts.levels * doc.matrix.k
+    edge_count = (opts.levels - 1) * sum(sum(row) for row in doc.matrix.rows)
+    if opts.format == "dot":
+        _check_budget(vertex_count + edge_count, f"--levels {opts.levels} --format dot")
+        return bratteli_dot(group, opts.levels)
     return [
         ("levels", opts.levels),
-        ("vertex_count", opts.levels * doc.matrix.k),
-        ("edge_count", (opts.levels - 1) * entry_sum),
+        ("vertex_count", vertex_count),
+        ("edge_count", edge_count),
     ]
 
 

@@ -1,9 +1,9 @@
 """Exact integer polynomials, square integer matrices, and certificates.
 
 Everything in this module is arbitrary precision and uses only exact
-arithmetic (the characteristic polynomial comes from the Faddeev-LeVerrier
-recursion, whose interior divisions are exact), so results are
-bit-for-bit reproducible.  The one place floats enter is the search for a
+arithmetic (the characteristic polynomial comes from Berkowitz's
+recursion, which does no division at all), so results are bit-for-bit
+reproducible.  The one place floats enter is the search for a
 rational factor: numeric roots propose candidate factors, and only an
 exact division accepts one.  All values are immutable once built.
 """
@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from operator import mul
 
 from .errors import BadReductionPrime, NoConvergence
 from .roots import complex_roots
@@ -221,21 +222,20 @@ class IntMatrix:
 def char_poly(A):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion, carrying the product of A with the
-    previous step's matrix so that each step costs one matrix product.
-    Every division is by the step index and exact, so arithmetic stays in
-    the integers throughout.
+    Berkowitz's division-free recursion (Berkowitz 1984): bordering the
+    leading r x r block A_r by the row R, the column C and the corner a
+    multiplies its char poly by the lower-triangular Toeplitz matrix with
+    first column (1, -a, -R C, -R A_r C, ..., -R A_r^{r-1} C).
     """
-    k = A.k
-    ident = IntMatrix.identity(k)
-    an = IntMatrix([[0] * k for _ in range(k)])  # A times the previous N_m
-    cs = [1]  # descending: coefficient of x^k, x^{k-1}, ...
-    for m in range(1, k + 1):
-        an = A * (an + cs[-1] * ident)
-        q, r = divmod(-an.trace(), m)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        cs.append(q)
+    rows = A.rows
+    cs = [1, -rows[0][0]]  # descending: coefficient of x^r, x^{r-1}, ...
+    for r in range(1, A.k):
+        v = [row[r] for row in rows[:r]]  # A_r^m C; map() stops after its r entries
+        t = [1, -rows[r][r]]
+        for _ in range(r):
+            t.append(-sum(map(mul, rows[r], v)))
+            v = [sum(map(mul, row, v)) for row in rows[:r]]
+        cs = [sum(t[i - j] * cs[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return IntPolynomial(list(reversed(cs)))
 
 

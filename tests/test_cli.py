@@ -237,6 +237,10 @@ def test_exit_codes_and_error_lines(tmp_path):
     # k=10 companion with 160-bit coefficients: the spectral gap overflows
     rows = [[int(j == i - 1) for j in range(9)] + [2**160] for i in range(10)]
     overflow = write_doc(tmp_path, "c10.txt", f"matrix = {rows}\n".replace(" ", ""))
+    # "²" and "٣" pass str.isdigit(); only ASCII digits are integers here
+    superscript = write_doc(tmp_path, "sup.txt", "matrix = [[1,1],[1,\u00b2]]\n")
+    arabic_indic = write_doc(tmp_path, "ar.txt", "matrix = [[1,1],[1,\u0663]]\n")
+    genus_sup = write_doc(tmp_path, "g.txt", "genus = \u00b2\nsingularities = 6\n" + QUAD_DOC)
 
     cases = [
         (["charpoly", "--input", quad], 0, None),
@@ -270,7 +274,18 @@ def test_exit_codes_and_error_lines(tmp_path):
          "NotAField"),
         (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),
         (["validate", "--input", quad], 2, "UsageError"),  # matrix-only doc, bundle subcommand
+        (["charpoly", "--input", superscript], 2, "ParseError"),
+        (["charpoly", "--input", arabic_indic], 2, "ParseError"),
+        (["validate", "--input", genus_sup], 2, "ParseError"),
+        (["cone", "--input", quad, "--box", "1000"], 2, "UsageError"),  # 2001^2 points
+        (["bratteli", "--input", quad, "--levels", "1000000", "--format", "dot"], 2,
+         "UsageError"),
     ]
+    limit = _int_digit_limit()
+    if limit:  # an entry 100 digits past the interpreter's int() limit
+        entry = "9" * (limit + 100)
+        long_entry = write_doc(tmp_path, "long.txt", f"matrix = [[1,{entry}],[1,0]]\n")
+        cases.append((["charpoly", "--input", long_entry], 2, "ParseError"))
     for args, expected, token in cases:
         code, out, err = run_cli(args)
         assert code == expected, (args, code, out)
@@ -279,6 +294,29 @@ def test_exit_codes_and_error_lines(tmp_path):
         else:
             assert out == f"error = {token}\n", (args, out)
             assert err.startswith("usage:") == (token == "UsageError"), (args, err)
+
+
+def _int_digit_limit():
+    """The interpreter's int/str conversion limit in digits; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_charpoly_prints_integers_past_the_digit_limit(tmp_path):
+    nines = 10**2500 - 1
+    eights = 8 * nines // 9
+    wide = write_doc(tmp_path, "wide.txt", f"matrix = [[1,{nines}],[{eights},0]]\n")
+    code, out, _ = run_cli(["charpoly", "--input", wide])
+    assert code == 0
+    assert out.startswith("charpoly = [") and out.endswith("]\n")
+    limit = _int_digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        coeffs = [int(c) for c in out[len("charpoly = ["):-2].split(",")]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert coeffs == [-nines * eights, -1, 1]
 
 
 def test_domain_error_names_are_stable(tmp_path):

@@ -96,6 +96,40 @@ def test_char_and_min_poly_match_sympy(rows):
     assert list(matrix_min_poly(matrix).coeffs) == _sympy_min_poly(m)
 
 
+WIDE = 2**100
+
+
+def _companion(coeffs):
+    k = len(coeffs)
+    return [[int(j == i - 1) for j in range(k - 1)] + [c] for i, c in enumerate(coeffs)]
+
+
+wide_matrices = st.integers(1, 12).flatmap(lambda k: _square(k, -WIDE, WIDE))
+wide_companions = st.lists(st.integers(-WIDE, WIDE), min_size=1, max_size=12).map(_companion)
+strictly_triangular = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-WIDE, WIDE), min_size=n * n, max_size=n * n),
+        st.sampled_from((range(n), range(n - 1, -1, -1))),  # upper or lower
+    )
+).map(_relabelled_nilpotent)
+
+
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(wide_matrices, wide_companions, strictly_triangular))
+@hypothesis.example([[pow(3, 12 * i + j, WIDE) - WIDE // 2 for j in range(12)] for i in range(12)])
+def test_char_poly_matches_bareiss_determinants(rows):
+    """det(nI - A) by sympy's fraction-free elimination, at the k + 1 points
+    n = 0..k that fix a monic polynomial of degree k.  (sympy's charpoly is
+    itself Berkowitz's recursion, so it is no independent check.)"""
+    k = len(rows)
+    p = char_poly(IntMatrix(rows))
+    assert p.is_monic and p.degree == k
+    m = sympy.Matrix(rows)
+    for n in range(k + 1):
+        assert p(n) == (n * sympy.eye(k) - m).det(method="bareiss"), (rows, n)
+
+
 def _monic(coeffs):
     return IntPolynomial([*coeffs, 1])
 
