@@ -22,7 +22,7 @@ from .errors import (
     IndexSumMismatch,
     ProngTooSmall,
 )
-from .exact import IntMatrix
+from .exact import IntMatrix, int_vector
 from .perron import primitivity_check
 
 
@@ -33,7 +33,7 @@ class SingularityData:
     prongs: tuple[int, ...]
 
     def __post_init__(self):
-        prongs = tuple(sorted(int(n) for n in self.prongs))
+        prongs = tuple(sorted(int_vector(self.prongs, what="prongs")))
         if not prongs:
             raise CardinalityOutOfRange("at least one singular point is required")
         if prongs[0] < 3:
@@ -60,11 +60,7 @@ class PseudoAnosovBundle:
 
 def validate_singularity_data(genus, sing):
     """Check the index identity and the cardinality bounds; raise on failure."""
-    if genus < 2:
-        raise GenusTooSmall(f"genus {genus} < 2")
-    m = sing.count
-    if not 1 <= m <= 4 * genus - 4:
-        raise CardinalityOutOfRange(f"{m} singular points, allowed range 1..{4 * genus - 4}")
+    h2_rank(genus, sing.count)
     total = sum(n - 2 for n in sing.prongs)
     if total != 4 * genus - 4:
         raise IndexSumMismatch(f"sum of (prongs - 2) is {total}, expected {4 * genus - 4}")

@@ -14,15 +14,17 @@ integers exact, floats with 12 significant digits, so identical inputs
 produce byte-identical output.
 
 Flags come from one table, ``_FLAGS``: flag -> (Options attribute,
-converter, expected form).  Handlers return only their report.  Every
-failure is a FibernormError; its class name is the ``error = <Name>``
-line on stdout and its ``exit_code`` the exit code (1 domain error or
-non-finite float, 2 parse or usage error, 3 undecided within budget).
-Diagnostics go to stderr.
+converter, expected form); integer and list flags use the document's
+own parsers, so ``--box 1_0`` fails as ``genus = 1_0`` does.  Handlers
+return only their report.  Every failure is a FibernormError; its class
+name is the ``error = <Name>`` line on stdout and its ``exit_code`` the
+exit code (1 domain error or non-finite float, 2 parse or usage error,
+3 undecided within budget).  Diagnostics go to stderr.
 """
 
 import decimal
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -138,7 +140,7 @@ class Options:
 
 # --- input document parsing --------------------------------------------------
 
-def _parse_int(text, line):
+def _parse_int(text, line=None):
     text = text.strip()
     digits = text[1:] if text[:1] in "+-" else text
     if not (digits.isascii() and digits.isdigit()):
@@ -166,33 +168,17 @@ def _parse_bracket_int_list(text, line=None):
     return _parse_bare_int_list(inner, line)
 
 
+# Between two matrix rows: "]", exactly one comma (blanks or tabs around it), "[".
+_ROW_BREAK = re.compile(r"\][ \t]*,[ \t]*\[")
+
+
 def _parse_matrix(text, line):
     text = text.strip()
     if not (text.startswith("[[") and text.endswith("]]")):
         raise ParseError(f"expected [[..],[..]] matrix, got {text!r}", line)
-    rows = []
-    depth = 0
-    row_start = None
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                row_start = pos
-            elif depth > 2:
-                raise ParseError("matrix brackets nest too deep", line)
-        elif ch == "]":
-            if depth == 2:
-                rows.append(text[row_start : pos + 1])
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets in matrix", line)
-        elif depth == 1 and ch not in ", \t":
-            raise ParseError(f"unexpected character {ch!r} between matrix rows", line)
-    if depth != 0:
-        raise ParseError("unbalanced brackets in matrix", line)
-    entries = [_parse_bracket_int_list(row, line) for row in rows]
-    if any(len(row) != len(entries) for row in entries):
-        raise ParseError("matrix is not square", line)
+    # A stray bracket or separator stays inside a row and fails as an integer.
+    rows = _ROW_BREAK.split(text[2:-2])
+    entries = [_parse_bracket_int_list(f"[{row}]", line) for row in rows]
     try:
         return IntMatrix(entries)
     except ValueError as exc:
@@ -442,14 +428,14 @@ def _checked(convert, accept):
 _FLAGS = {
     "--input": ("input", str, "a path"),
     "--tol": ("tol", _checked(float, lambda t: 0 < t < math.inf), "a finite number > 0"),
-    "--max-iter": ("max_iter", _checked(int, lambda n: n >= 1), "an integer >= 1"),
-    "--prime-budget": ("prime_budget", _checked(int, lambda n: n >= 1), "an integer >= 1"),
+    "--max-iter": ("max_iter", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1"),
+    "--prime-budget": ("prime_budget", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1"),
     "--element": ("element", _parse_bracket_int_list, "[i,j,...]"),
     "--class": ("klass", _parse_bracket_int_list, "[i,j,...]"),
     "--fiber-class": ("fiber_class", _parse_bracket_int_list, "[i,j,...]"),
-    "--box": ("box", _checked(int, lambda n: n >= 0), "an integer >= 0"),
-    "--levels": ("levels", int, "an integer"),
-    "--stage": ("stage", int, "an integer"),
+    "--box": ("box", _checked(_parse_int, lambda n: n >= 0), "an integer >= 0"),
+    "--levels": ("levels", _parse_int, "an integer"),
+    "--stage": ("stage", _parse_int, "an integer"),
     "--vector": ("vector", _parse_bracket_int_list, "[i,j,...]"),
     "--format": ("format", _checked(str, lambda f: f in ("text", "dot")), "text or dot"),
 }

@@ -8,8 +8,8 @@ operation exact.
 
 from dataclasses import dataclass
 
-from .errors import BackwardTelescope, DimensionMismatch, TooFewLevels
-from .exact import IntMatrix
+from .errors import BackwardTelescope, TooFewLevels
+from .exact import IntMatrix, int_vector
 from .perron import eventual_positivity, primitivity_check
 
 
@@ -31,7 +31,7 @@ class DimGroupElement:
     stage: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
+        object.__setattr__(self, "v", int_vector(self.v))
         if self.stage < 0:
             raise ValueError("stage must be nonnegative")
 
@@ -41,21 +41,13 @@ def make_dim_group(A):
     return StationaryDimGroup(matrix=A, witness=primitivity_check(A))
 
 
-def _check_element(group, element):
-    if len(element.v) != group.k:
-        raise DimensionMismatch(
-            f"element vector has length {len(element.v)}, group has rank {group.k}"
-        )
-
-
 def telescope(group, element, new_stage):
     """Move an element to a later stage: (v, n) -> (A^{n'-n} v, n')."""
-    _check_element(group, element)
+    v = int_vector(element.v, group.k, "element vector")
     if new_stage < element.stage:
         raise BackwardTelescope(
             f"cannot telescope from stage {element.stage} back to {new_stage}"
         )
-    v = element.v
     for _ in range(new_stage - element.stage):
         v = group.matrix.apply(v)
     return DimGroupElement(v, new_stage)
@@ -72,7 +64,6 @@ def is_positive(group, element):
 
     Telescoping does not change the answer, so only the vector matters.
     """
-    _check_element(group, element)
     return eventual_positivity(group.matrix, element.v)
 
 

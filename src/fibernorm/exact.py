@@ -6,6 +6,12 @@ recursion, which does no division at all), so results are bit-for-bit
 reproducible.  The one place floats enter is the search for a
 rational factor: numeric roots propose candidate factors, and only an
 exact division accepts one.  All values are immutable once built.
+
+``int_vector`` is the one rule for integer vectors across the package:
+matrix rows, polynomial coefficients, classes, field elements,
+dimension-group vectors and prong counts all pass through it, so a
+float or a string is a TypeError everywhere, never truncated or parsed
+into a wrong answer.
 """
 
 import cmath
@@ -15,7 +21,7 @@ from enum import Enum
 from math import gcd
 from operator import mul
 
-from .errors import BadReductionPrime, NoConvergence
+from .errors import BadReductionPrime, DimensionMismatch, NoConvergence
 from .roots import complex_roots
 
 # Past this degree no rational factor is searched for (at most 162 root
@@ -28,10 +34,22 @@ _STALL_PRIMES = 4
 DEFAULT_PRIME_BUDGET = 10
 
 
-def _check_int(value):
-    if not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    return value
+def int_vector(values, length=None, what="vector"):
+    """The entries of values as a tuple, every one an int (bool included).
+
+    Raises DimensionMismatch when a required length is not met and
+    TypeError for any entry that is not an int: nothing is converted.
+
+    >>> int_vector([3, -1])
+    (3, -1)
+    """
+    out = tuple(values)
+    if length is not None and len(out) != length:
+        raise DimensionMismatch(f"{what} has length {len(out)}, expected {length}")
+    for x in out:
+        if not isinstance(x, int):
+            raise TypeError(f"{what} entries must be integers, got {type(x).__name__}")
+    return out
 
 
 class IntPolynomial:
@@ -49,7 +67,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cleaned = [_check_int(c) for c in coeffs]
+        cleaned = list(int_vector(coeffs, what="coefficient"))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
@@ -133,7 +151,7 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        tupled = tuple(tuple(_check_int(x) for x in row) for row in rows)
+        tupled = tuple(int_vector(row, what="matrix row") for row in rows)
         if not tupled:
             raise ValueError("matrix must have at least one row")
         k = len(tupled)
@@ -186,8 +204,7 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def __rmul__(self, scalar):
-        return self * _check_int(scalar)
+    __rmul__ = __mul__  # int scalars commute; anything else is a TypeError
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -203,10 +220,8 @@ class IntMatrix:
 
     def apply(self, vector):
         """Matrix times column vector, as a tuple of ints."""
-        v = tuple(_check_int(x) for x in vector)
-        if len(v) != self.k:
-            raise ValueError("vector length does not match matrix size")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        v = int_vector(vector, self.k)
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.k))

@@ -14,8 +14,8 @@ from enum import Enum
 from itertools import combinations_with_replacement, product
 
 from .bundle import euler_pairing_fiber
-from .errors import DimensionMismatch, NegativeNorm
-from .exact import DEFAULT_PRIME_BUDGET, IntPolynomial
+from .errors import NegativeNorm
+from .exact import DEFAULT_PRIME_BUDGET, IntPolynomial, int_vector
 from .numberfield import TraceFunctional, build_order, norm_value, trace_functional
 
 HomologyClass = tuple[int, ...]
@@ -150,11 +150,7 @@ def diagram_consistency(cone, basis_values):
     (1-based index).
     """
     t = cone.functional.t
-    values = tuple(int(x) for x in basis_values)
-    if len(values) != len(t):
-        raise DimensionMismatch(
-            f"basis values have length {len(values)}, functional has length {len(t)}"
-        )
+    values = int_vector(basis_values, len(t), "basis values")
     for i, norm in enumerate(t):
         if norm < 0:
             continue
@@ -172,9 +168,7 @@ def fiber_class_report(bundle, z_fiber, prime_budget=DEFAULT_PRIME_BUDGET):
     """
     order = build_order(bundle.action, prime_budget)
     functional = trace_functional(order)
-    z = tuple(int(x) for x in z_fiber)
-    if len(z) != bundle.rank:
-        raise DimensionMismatch(f"class has length {len(z)}, bundle has rank {bundle.rank}")
+    z = int_vector(z_fiber, bundle.rank, "class")
     n = norm_value(functional, z)
     target = euler_pairing_fiber(bundle.genus)
     return NormReport(

@@ -14,10 +14,10 @@ can be computed three independent ways:
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     DegenerateMonodromy,
-    DimensionMismatch,
     EmbeddingMismatch,
     IrreducibilityUnverified,
     NotAField,
@@ -27,6 +27,7 @@ from .exact import (
     CertificateStatus,
     IntMatrix,
     char_poly,
+    int_vector,
     irreducibility_certificate,
     matrix_min_poly,
     newton_power_sums,
@@ -71,12 +72,7 @@ class NumberFieldOrder:
         return tuple(s - top * self.min_poly.coeffs[i] for i, s in enumerate(shifted))
 
     def element(self, coords):
-        out = tuple(int(x) for x in coords)
-        if len(out) != self.degree:
-            raise DimensionMismatch(
-                f"element has {len(out)} coordinates, order has degree {self.degree}"
-            )
-        return out
+        return int_vector(coords, self.degree, "element")
 
     def __repr__(self):
         return f"NumberFieldOrder(min_poly={list(self.min_poly.coeffs)!r})"
@@ -156,9 +152,4 @@ def trace_functional(order):
 
 def norm_value(functional, z):
     """Value of the trace norm on an integer vector: the exact dot product."""
-    zt = tuple(int(x) for x in z)
-    if len(zt) != len(functional.t):
-        raise DimensionMismatch(
-            f"class has length {len(zt)}, functional has length {len(functional.t)}"
-        )
-    return sum(a * b for a, b in zip(zt, functional.t))
+    return sum(map(mul, int_vector(z, len(functional.t), "class"), functional.t))

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionMismatch, NoConvergence, NotNonnegative, NotPrimitive
-from .exact import char_poly
+from .errors import NoConvergence, NotNonnegative, NotPrimitive
+from .exact import char_poly, int_vector
 from .roots import complex_roots
 
 # Exact-iteration budget for sign decisions; vectors undecided after this
@@ -137,9 +137,7 @@ def eventual_positivity(A, v):
     bound are Undecided.
     """
     primitivity_check(A)
-    u = tuple(int(x) for x in v)
-    if len(u) != A.k:
-        raise DimensionMismatch(f"vector has length {len(u)}, matrix has size {A.k}")
+    u = int_vector(v, A.k)
     for step in range(ITERATION_BOUND + 1):
         if all(x == 0 for x in u):
             return PositivitySign(Sign.ZERO)

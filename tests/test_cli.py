@@ -39,6 +39,8 @@ def test_parse_matrix_only():
     assert doc.kind == "MatrixOnly"
     assert doc.matrix == IntMatrix([[2, 1], [1, 1]])
     assert doc.genus is None
+    # blanks and tabs may surround the one comma between rows
+    assert parse_input("matrix = [[2,1] ,\t [1,1]]\n") == doc
 
 
 def test_parse_bundle_with_comments_and_blank_lines():
@@ -241,6 +243,10 @@ def test_exit_codes_and_error_lines(tmp_path):
     superscript = write_doc(tmp_path, "sup.txt", "matrix = [[1,1],[1,\u00b2]]\n")
     arabic_indic = write_doc(tmp_path, "ar.txt", "matrix = [[1,1],[1,\u0663]]\n")
     genus_sup = write_doc(tmp_path, "g.txt", "genus = \u00b2\nsingularities = 6\n" + QUAD_DOC)
+    # matrix rows are separated by exactly one comma, inside one pair of brackets
+    no_comma = write_doc(tmp_path, "nc.txt", "matrix = [[1,1] [1,0]]\n")
+    two_commas = write_doc(tmp_path, "cc.txt", "matrix = [[1,1],,[1,0]]\n")
+    two_matrices = write_doc(tmp_path, "mm.txt", "matrix = [[1,1]],[[1,0]]\n")
 
     cases = [
         (["charpoly", "--input", quad], 0, None),
@@ -277,6 +283,17 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["charpoly", "--input", superscript], 2, "ParseError"),
         (["charpoly", "--input", arabic_indic], 2, "ParseError"),
         (["validate", "--input", genus_sup], 2, "ParseError"),
+        (["charpoly", "--input", no_comma], 2, "ParseError"),
+        (["charpoly", "--input", two_commas], 2, "ParseError"),
+        (["charpoly", "--input", two_matrices], 2, "ParseError"),
+        # integer flags follow the document's integer rule
+        (["cone", "--input", quad, "--box", "\u0663"], 2, "UsageError"),
+        (["cone", "--input", quad, "--box", "1_0"], 2, "UsageError"),
+        (["bratteli", "--input", quad, "--levels", "\u0663"], 2, "UsageError"),
+        (["dimgroup", "--input", quad, "--stage", "1_0"], 2, "UsageError"),
+        (["perron", "--input", quad, "--max-iter", "\u0663"], 2, "UsageError"),
+        (["trace", "--input", quad, "--element", "[1,1]", "--prime-budget", "1_0"], 2,
+         "UsageError"),
         (["cone", "--input", quad, "--box", "1000"], 2, "UsageError"),  # 2001^2 points
         (["bratteli", "--input", quad, "--levels", "1000000", "--format", "dot"], 2,
          "UsageError"),

@@ -1,0 +1,78 @@
+"""One integer-vector rule for every public entry point that takes a vector.
+
+A float or a string entry is a TypeError and a wrong length is a
+DimensionMismatch; nothing is truncated or parsed into a wrong answer.
+"""
+
+import pytest
+
+from fibernorm.bundle import SingularityData, build_bundle
+from fibernorm.dimgroup import DimGroupElement, is_positive, make_dim_group, telescope
+from fibernorm.errors import DimensionMismatch
+from fibernorm.exact import IntMatrix, int_vector
+from fibernorm.norm import ConeDescription, cone_membership, diagram_consistency, fiber_class_report
+from fibernorm.numberfield import (
+    TraceFunctional,
+    build_order,
+    mult_matrix,
+    norm_value,
+    trace_via_embeddings,
+    trace_via_mult,
+    trace_via_newton,
+)
+from fibernorm.perron import eventual_positivity
+
+FIB = IntMatrix([[1, 1], [1, 0]])
+FOURNACCI = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+FIB_ORDER = build_order(FIB)
+FIB_GROUP = make_dim_group(FIB)
+T21 = TraceFunctional((2, 1))
+CONE = ConeDescription(T21)
+BUNDLE = build_bundle(2, SingularityData((6,)), FOURNACCI)
+
+# name -> (call on one vector, required length or None when the entry
+# point has nothing to measure the length against)
+ENTRY_POINTS = {
+    "norm_value": (lambda v: norm_value(T21, v), 2),
+    "cone_membership": (lambda v: cone_membership(CONE, v), 2),
+    "ConeDescription.value": (CONE.value, 2),
+    "trace_via_mult": (lambda v: trace_via_mult(FIB_ORDER, v), 2),
+    "trace_via_newton": (lambda v: trace_via_newton(FIB_ORDER, v), 2),
+    "trace_via_embeddings": (lambda v: trace_via_embeddings(FIB_ORDER, v), 2),
+    "mult_matrix": (lambda v: mult_matrix(FIB_ORDER, v), 2),
+    "eventual_positivity": (lambda v: eventual_positivity(FIB, v), 2),
+    "DimGroupElement": (DimGroupElement, None),
+    "telescope": (lambda v: telescope(FIB_GROUP, DimGroupElement(v), 1), 2),
+    "is_positive": (lambda v: is_positive(FIB_GROUP, DimGroupElement(v)), 2),
+    "fiber_class_report": (lambda v: fiber_class_report(BUNDLE, v), 4),
+    "diagram_consistency": (lambda v: diagram_consistency(CONE, v), 2),
+    "IntMatrix.apply": (FIB.apply, 2),
+    "SingularityData": (SingularityData, None),
+}
+
+
+def _cases():
+    for name, (call, length) in ENTRY_POINTS.items():
+        k = length or 1
+        yield pytest.param(call, (1.5,) + (1,) * (k - 1), TypeError, id=f"{name}-float")
+        yield pytest.param(call, ("3",) + (0,) * (k - 1), TypeError, id=f"{name}-str")
+        if length is not None:
+            yield pytest.param(call, (1,) * (k + 1), DimensionMismatch, id=f"{name}-length")
+    # Answers that truncating int() once gave silently: Zero, 1 and 6.
+    positivity, _ = ENTRY_POINTS["eventual_positivity"]
+    yield pytest.param(positivity, (0.9, 0.9), TypeError, id="eventual_positivity-0.9")
+    trace, _ = ENTRY_POINTS["trace_via_mult"]
+    yield pytest.param(trace, (0.5, 1.7), TypeError, id="trace_via_mult-0.5-1.7")
+    norm, _ = ENTRY_POINTS["norm_value"]
+    yield pytest.param(norm, ("3", 0), TypeError, id="norm_value-str-3")
+
+
+@pytest.mark.parametrize("call, vector, error", _cases())
+def test_vector_arguments_are_strict(call, vector, error):
+    with pytest.raises(error):
+        call(vector)
+
+
+def test_int_vector_accepts_ints_and_bools():
+    assert int_vector([True, 0, -(2**100)], 3) == (True, 0, -(2**100))
+    assert norm_value(T21, (True, 0)) == 2
