@@ -68,6 +68,7 @@ def validate_singularity_data(genus, sing):
 
 def h2_rank(genus, m):
     """Rank of the second homology of the mapping torus: 2g + m - 1."""
+    genus, m = int_vector((genus, m), what="genus and singularity count")
     if genus < 2:
         raise GenusTooSmall(f"genus {genus} < 2")
     if not 1 <= m <= 4 * genus - 4:

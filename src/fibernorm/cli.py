@@ -232,21 +232,24 @@ def serialize_input(doc):
 # --- report formatting -------------------------------------------------------
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
+    # Plain ints and sequences first: a cone report holds millions of them.
+    if type(value) is int:
         try:
             return str(value)
         except ValueError:  # past the interpreter's digit limit; Decimal has none
             return str(decimal.Decimal(value))
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join([_format_value(v) for v in value]) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return _format_value(int(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NoConvergence(f"non-finite value {value} in the report")
         return f"{value or 0.0:.12g}"  # -0.0 prints as 0
     if isinstance(value, str):
         return value
-    if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_format_value(v) for v in value) + "]"
     raise TypeError(f"cannot format report value of type {type(value).__name__}")
 
 

@@ -32,7 +32,8 @@ class DimGroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "v", int_vector(self.v))
-        if self.stage < 0:
+        (stage,) = int_vector((self.stage,), what="stage")
+        if stage < 0:
             raise ValueError("stage must be nonnegative")
 
 
@@ -44,6 +45,7 @@ def make_dim_group(A):
 def telescope(group, element, new_stage):
     """Move an element to a later stage: (v, n) -> (A^{n'-n} v, n')."""
     v = int_vector(element.v, group.k, "element vector")
+    (new_stage,) = int_vector((new_stage,), what="stage")
     if new_stage < element.stage:
         raise BackwardTelescope(
             f"cannot telescope from stage {element.stage} back to {new_stage}"
@@ -74,6 +76,7 @@ def order_unit(group):
 
 def check_levels(levels):
     """A diagram of the stationary system needs at least two floors."""
+    (levels,) = int_vector((levels,), what="levels")
     if levels < 2:
         raise TooFewLevels("a diagram needs at least 2 floors")
 

@@ -12,6 +12,7 @@ assert the coincidence.
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, product
+from operator import add, mul
 
 from .bundle import euler_pairing_fiber
 from .errors import NegativeNorm
@@ -101,8 +102,19 @@ def cone_axiom_check(cone, box_radius, scale_max):
     Every interior class must stay interior under scaling by 1..scale_max
     and under addition with every other interior class in the box.  A
     half-space can never fail; running the check guards the membership
-    code itself.  Returns None, or the first counterexample in scan order.
+    code itself, so every vector the check reasons about goes through
+    cone_membership.  Returns None, or the first counterexample in scan
+    order: interior points lexicographically, scalings before additions,
+    pairs in combinations_with_replacement order.
+
+    Cost: one membership call per box point, n * scale_max for the n
+    interior points, and one per distinct sum of two of them; the
+    n(n+1)/2 pairs themselves cost one integer addition and one set
+    lookup each.  Sums have coordinates in [-2r, 2r], so numbering the
+    points by balanced digits in base 4r + 1 gives each pair's sum the
+    number n1 + n2, equal exactly when the sums are.
     """
+    box_radius, scale_max = int_vector((box_radius, scale_max), what="box radius and scale bound")
     if box_radius < 1:
         raise ValueError("box radius must be at least 1")
     if scale_max < 2:
@@ -117,22 +129,50 @@ def cone_axiom_check(cone, box_radius, scale_max):
                 return ConeCounterexample(
                     kind="scaling", z=z, other=None, scale=c, value=cone.value(scaled)
                 )
-    for z1, z2 in combinations_with_replacement(interior, 2):
-        total = tuple(a + b for a, b in zip(z1, z2))
+    place_values = [(4 * box_radius + 1) ** i for i in reversed(range(k))]
+    numbered = [(z, sum(map(mul, z, place_values))) for z in interior]
+    interior_sums = set()  # numbers of the sums already found interior
+    for (z1, n1), (z2, n2) in combinations_with_replacement(numbered, 2):
+        n = n1 + n2
+        if n in interior_sums:
+            continue
+        total = tuple(map(add, z1, z2))
         if cone_membership(cone, total) is not ConeRegion.INTERIOR:
             return ConeCounterexample(
                 kind="addition", z=z1, other=z2, scale=None, value=cone.value(total)
             )
+        interior_sums.add(n)
     return None
 
 
 def enumerate_cone_points(cone, box_radius):
-    """Lattice points of the box with nonnegative norm, lexicographic order."""
+    """Lattice points z of the box with z . t >= 0, lexicographic order.
+
+    t is the cone's functional, read directly (cone.value is not
+    called).  For each of the (2r+1)^(k-1) prefixes of the first k-1
+    coordinates, the admissible last coordinates form one interval, read
+    off the prefix sum s and the sign of t_k.  Cost: one prefix dot
+    product per prefix plus one tuple per point returned, not one dot
+    product per box point.
+    """
+    (box_radius,) = int_vector((box_radius,), what="box radius")
     if box_radius < 0:
         raise ValueError("box radius must be nonnegative")
-    k = len(cone.functional.t)
+    *head, last = cone.functional.t
     span = range(-box_radius, box_radius + 1)
-    return [z for z in product(span, repeat=k) if cone.value(z) >= 0]
+    # lasts[i] is the one-tuple of the i-th last coordinate, -r + i.
+    lasts = [(x,) for x in span]
+    points = []
+    for prefix in product(span, repeat=len(head)):
+        s = sum(map(mul, prefix, head))
+        if last > 0:  # s + x * last >= 0  <=>  x >= -(s // last)
+            admissible = lasts[max(0, box_radius - s // last):]
+        elif last < 0:  # x <= s // -last
+            admissible = lasts[: max(0, box_radius + 1 + s // -last)]
+        else:
+            admissible = lasts if s >= 0 else ()
+        points += map(prefix.__add__, admissible)
+    return points
 
 
 def gromov_from_thurston(n):

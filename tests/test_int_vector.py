@@ -2,15 +2,30 @@
 
 A float or a string entry is a TypeError and a wrong length is a
 DimensionMismatch; nothing is truncated or parsed into a wrong answer.
+Scalar integer arguments (stages, radii, levels, genus) follow the same
+rule.
 """
 
 import pytest
 
-from fibernorm.bundle import SingularityData, build_bundle
-from fibernorm.dimgroup import DimGroupElement, is_positive, make_dim_group, telescope
+from fibernorm.bundle import SingularityData, build_bundle, h2_rank
+from fibernorm.dimgroup import (
+    DimGroupElement,
+    bratteli_dot,
+    is_positive,
+    make_dim_group,
+    telescope,
+)
 from fibernorm.errors import DimensionMismatch
 from fibernorm.exact import IntMatrix, int_vector
-from fibernorm.norm import ConeDescription, cone_membership, diagram_consistency, fiber_class_report
+from fibernorm.norm import (
+    ConeDescription,
+    cone_axiom_check,
+    cone_membership,
+    diagram_consistency,
+    enumerate_cone_points,
+    fiber_class_report,
+)
 from fibernorm.numberfield import (
     TraceFunctional,
     build_order,
@@ -76,3 +91,23 @@ def test_vector_arguments_are_strict(call, vector, error):
 def test_int_vector_accepts_ints_and_bools():
     assert int_vector([True, 0, -(2**100)], 3) == (True, 0, -(2**100))
     assert norm_value(T21, (True, 0)) == 2
+
+
+# One call per scalar argument: a float once gave a wrong answer
+# (a positive element at stage 0.5, rank 5.0) or range()'s own TypeError.
+SCALAR_CALLS = {
+    "DimGroupElement-stage": lambda: DimGroupElement((1, 0), 0.5),
+    "h2_rank-genus": lambda: h2_rank(2.5, 1),
+    "h2_rank-count": lambda: h2_rank(2, 1.0),
+    "enumerate_cone_points": lambda: enumerate_cone_points(CONE, 1.5),
+    "cone_axiom_check": lambda: cone_axiom_check(CONE, 1.5, 2.5),
+    "cone_axiom_check-scale": lambda: cone_axiom_check(CONE, 1, 2.0),
+    "telescope": lambda: telescope(FIB_GROUP, DimGroupElement((1, 0)), 1.5),
+    "bratteli_dot": lambda: bratteli_dot(FIB_GROUP, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+def test_scalar_arguments_are_strict(call):
+    with pytest.raises(TypeError, match="must be integers"):
+        call()

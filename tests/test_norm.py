@@ -1,6 +1,8 @@
 """The induced norm, its cone, and the fiber class report."""
 
-from itertools import product
+import random
+from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +10,7 @@ from fibernorm.bundle import SingularityData, build_bundle
 from fibernorm.errors import DimensionMismatch, NegativeNorm
 from fibernorm.exact import IntMatrix
 from fibernorm.norm import (
+    ConeCounterexample,
     ConeDescription,
     ConeRegion,
     cone_axiom_check,
@@ -74,6 +77,67 @@ def test_cone_axiom_check_examples():
         cone_axiom_check(_cone((2, 3)), 3, 1)
 
 
+def _pairwise_axiom_scan(cone, r, scale_max):
+    """Reference axiom check: one membership test per scaling and per pair."""
+    box = product(range(-r, r + 1), repeat=len(cone.functional.t))
+    interior = [z for z in box if cone_membership(cone, z) is ConeRegion.INTERIOR]
+    for z in interior:
+        for c in range(1, scale_max + 1):
+            scaled = tuple(c * x for x in z)
+            if cone_membership(cone, scaled) is not ConeRegion.INTERIOR:
+                return ConeCounterexample("scaling", z, None, c, cone.value(scaled))
+    for z1, z2 in combinations_with_replacement(interior, 2):
+        total = tuple(a + b for a, b in zip(z1, z2))
+        if cone_membership(cone, total) is not ConeRegion.INTERIOR:
+            return ConeCounterexample("addition", z1, z2, None, cone.value(total))
+    return None
+
+
+@dataclass(frozen=True)
+class _TruncatedCone(ConeDescription):
+    """Not a cone: classes with a coordinate past radius are outside."""
+
+    radius: int = 2
+
+    def value(self, z):
+        return -1 if max(map(abs, z)) > self.radius else super().value(z)
+
+
+@dataclass(frozen=True)
+class _PuncturedSpace(ConeDescription):
+    """Not a cone: every class is interior except one."""
+
+    hole: tuple[int, ...] = ()
+
+    def value(self, z):
+        return -1 if z == self.hole else 1
+
+
+def test_cone_axiom_check_returns_the_first_counterexample():
+    t = TraceFunctional((2, 3))
+    found = cone_axiom_check(_TruncatedCone(t, 2), 2, 3)
+    assert found == ConeCounterexample("scaling", (-2, 2), None, 2, -1)
+    assert found == _pairwise_axiom_scan(_TruncatedCone(t, 2), 2, 3)
+    # The sum (0, 2) = (-1, 1) + (1, 1) comes before the hole (1, -2) =
+    # (0, -1) + (1, -1); numbered in base 4r instead of 4r + 1, they collide.
+    found = cone_axiom_check(_PuncturedSpace(t, (1, -2)), 1, 2)
+    assert found == ConeCounterexample("addition", (0, -1), (1, -1), None, -1)
+    assert found == _pairwise_axiom_scan(_PuncturedSpace(t, (1, -2)), 1, 2)
+    rng = random.Random(2002)
+    kinds = set()
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        r = rng.randint(1, 2)
+        scale_max = rng.randint(2, 3)
+        t = TraceFunctional(tuple(rng.randint(-9, 9) for _ in range(k)))
+        hole = tuple(rng.randint(-2 * r, 2 * r) for _ in range(k))
+        for cone in (ConeDescription(t), _TruncatedCone(t, r), _PuncturedSpace(t, hole)):
+            found = cone_axiom_check(cone, r, scale_max)
+            assert found == _pairwise_axiom_scan(cone, r, scale_max), (cone, r, scale_max)
+            kinds.add(found and found.kind)
+    assert kinds == {None, "scaling", "addition"}
+
+
 def test_enumerate_cone_points_examples():
     assert enumerate_cone_points(_cone((2, 3)), 1) == [
         (-1, 1),
@@ -91,6 +155,37 @@ def test_enumerate_cone_points_examples():
         (1, 0),
         (1, 1),
     ]
+
+
+def _box_scan(cone, r):
+    """Reference enumeration: one norm value per box point."""
+    box = product(range(-r, r + 1), repeat=len(cone.functional.t))
+    return [z for z in box if cone.value(z) >= 0]
+
+
+def test_enumerate_cone_points_matches_box_scan():
+    big = 2**200
+    functionals = [
+        (3, 0),  # t_k = 0: prefix sums -3 (no point) and 0, 3 (whole range)
+        (1, -2, 0),
+        (2, -1),  # negative t_k
+        (-7, -3, -5),
+        (5,),  # k = 1: the empty prefix
+        (-5,),
+        (0,),
+        (big + 1, -big),  # 200-bit entries of both signs
+        (-big, 3, big - 1),
+        (big, 0),
+    ]
+    rng = random.Random(2002)
+    for _ in range(200):
+        bits = rng.choice((2, 8, 200))
+        k = rng.randint(1, 4)
+        functionals.append(tuple(rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(k)))
+    for t in functionals:
+        cone = _cone(t)
+        for r in range(4 if len(t) < 4 else 3):  # r = 0 included
+            assert enumerate_cone_points(cone, r) == _box_scan(cone, r), (t, r)
 
 
 def test_enumerate_cone_points_sorted_and_closed_in_box():
