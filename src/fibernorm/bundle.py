@@ -78,6 +78,7 @@ def h2_rank(genus, m):
 
 def euler_pairing_fiber(genus):
     """|Euler class paired with the fiber class| = |2 - 2g| = 2g - 2."""
+    (genus,) = int_vector((genus,), what="genus")
     if genus < 2:
         raise GenusTooSmall(f"genus {genus} < 2")
     return 2 * genus - 2

@@ -43,15 +43,27 @@ def make_dim_group(A):
 
 
 def telescope(group, element, new_stage):
-    """Move an element to a later stage: (v, n) -> (A^{n'-n} v, n')."""
+    """Move an element to a later stage: (v, n) -> (A^{n'-n} v, n').
+
+    A^m v is computed by right-to-left binary powering while more than 2k
+    steps remain, since one squaring, done column by column, costs k
+    matrix-vector products: at most floor(log2 m) squarings, then at most
+    2k plain steps with the current power.  For m <= 2k that is m plain
+    steps with A.
+    """
     v = int_vector(element.v, group.k, "element vector")
     (new_stage,) = int_vector((new_stage,), what="stage")
     if new_stage < element.stage:
         raise BackwardTelescope(
             f"cannot telescope from stage {element.stage} back to {new_stage}"
         )
-    for _ in range(new_stage - element.stage):
-        v = group.matrix.apply(v)
+    power, steps = group.matrix, new_stage - element.stage
+    while steps > 2 * group.k:
+        if steps & 1:
+            v = power.apply(v)
+        power, steps = IntMatrix(zip(*map(power.apply, zip(*power.rows)))), steps >> 1
+    for _ in range(steps):
+        v = power.apply(v)
     return DimGroupElement(v, new_stage)
 
 
@@ -87,18 +99,23 @@ def bratteli_dot(group, levels):
     Vertices are named v{floor}_{index}; incidence entry A[i][j] draws
     that many parallel edges from vertex j on floor t to vertex i on
     floor t+1.  Floors are emitted top to bottom, vertices by index,
-    edges by (floor, target row, source column).
+    edges by (floor, target row, source column).  Every floor has the
+    same vertex lines and every pair of adjacent floors the same edge
+    lines, so both blocks are built once as templates on the floor
+    numbers: one format call per floor, then one join of the output.
     """
     check_levels(levels)
-    k = group.k
-    lines = ["digraph bratteli {"]
-    for floor in range(levels):
-        for index in range(k):
-            lines.append(f"  v{floor}_{index};")
-    for floor in range(levels - 1):
-        for i in range(k):
-            for j in range(k):
-                for _ in range(group.matrix[i][j]):
-                    lines.append(f"  v{floor}_{j} -> v{floor + 1}_{i};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = "".join(f"  v{{0}}_{i};\n" for i in range(group.k))
+    edges = "".join(
+        f"  v{{0}}_{j} -> v{{1}}_{i};\n" * count
+        for i, row in enumerate(group.matrix.rows)
+        for j, count in enumerate(row)
+    )
+    return "".join(
+        [
+            "digraph bratteli {\n",
+            *map(vertices.format, range(levels)),
+            *map(edges.format, range(levels - 1), range(1, levels)),
+            "}\n",
+        ]
+    )

@@ -524,6 +524,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
+    (prime_budget,) = int_vector((prime_budget,), what="prime budget")
     if prime_budget < 1:
         raise ValueError("prime budget must be at least 1")
     k = p.degree

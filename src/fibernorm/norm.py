@@ -177,6 +177,7 @@ def enumerate_cone_points(cone, box_radius):
 
 def gromov_from_thurston(n):
     """Simplicial norm from the embedded-surface norm: exactly twice."""
+    (n,) = int_vector((n,), what="norm value")
     if n < 0:
         raise NegativeNorm(f"norm value {n} is negative")
     return 2 * n

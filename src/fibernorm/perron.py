@@ -115,8 +115,12 @@ def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     characteristic polynomial, and the gap is the second largest over it;
     roots that are not finite raise NoConvergence.  Power iteration on A
     and on its transpose gives only the eigenvectors, each stopped once
-    successive L1-normalized iterates differ by less than tol in L1 norm.
+    successive L1-normalized iterates differ by less than tol in L1 norm,
+    which must be finite and positive.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    (max_iter,) = int_vector((max_iter,), what="iteration limit")
     witness = primitivity_check(A)
     moduli = sorted((abs(r) for r in complex_roots(char_poly(A))), reverse=True)
     if not all(math.isfinite(m) for m in moduli):

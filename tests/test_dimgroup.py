@@ -1,5 +1,6 @@
 """Stationary dimension groups: telescoping, order, diagram output."""
 
+import random
 from itertools import product
 
 import pytest
@@ -24,6 +25,15 @@ from fibernorm.perron import Sign
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 QUAD = IntMatrix([[2, 1], [1, 1]])
+# Primitive, with zero entries and entries >= 2, from k = 1 to k = 5.
+DOT_MATRICES = (
+    IntMatrix([[3]]),
+    FIB,
+    QUAD,
+    IntMatrix([[0, 2, 1], [1, 0, 0], [0, 3, 0]]),
+    IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]),
+    IntMatrix([[1, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 2], [1, 0, 0, 0, 1]]),
+)
 
 FIB_DOT_2 = """\
 digraph bratteli {
@@ -53,8 +63,70 @@ def test_telescope_examples():
     assert telescope(group, element, 3) == element
     with pytest.raises(BackwardTelescope):
         telescope(group, DimGroupElement((1, 0), 2), 1)
+    with pytest.raises(BackwardTelescope):
+        telescope(group, DimGroupElement((1, 0), 1000), 999)
     with pytest.raises(DimensionMismatch):
         telescope(group, DimGroupElement((1, 0, 0), 0), 1)
+    with pytest.raises(DimensionMismatch):
+        telescope(group, DimGroupElement((1, 0, 0), 0), 1000)
+
+
+def _random_primitive(rng, k):
+    while True:
+        try:
+            return make_dim_group(
+                IntMatrix([[rng.randint(0, 3) for _ in range(k)] for _ in range(k)])
+            )
+        except NotPrimitive:
+            pass
+
+
+def _telescope_cost(steps, k):
+    """Squarings and matrix-vector products for steps at size k.
+
+    Binary powering runs while more than 2k steps remain; each squaring
+    is k products, each odd step count one more, and the rest are plain.
+    """
+    squarings = products = 0
+    while steps > 2 * k:
+        products += k + (steps & 1)
+        squarings += 1
+        steps >>= 1
+    return squarings, products + steps
+
+
+def test_telescope_matches_step_by_step(monkeypatch):
+    # Every power of A that telescope forms is applied at least once, so
+    # the distinct matrices applied are A and its squares.
+    applied = []
+    apply = IntMatrix.apply
+
+    def recorded(self, vector):
+        applied.append(self)
+        return apply(self, vector)
+
+    monkeypatch.setattr(IntMatrix, "apply", recorded)
+    rng = random.Random(20)
+    for k in range(1, 8):
+        for _ in range(4):
+            group = _random_primitive(rng, k)
+            limit = 20 * k
+            steps = {0, 1, 2 * k, 2 * k + 1, 4 * k + 1, 4 * k + 2, limit}
+            steps.update(rng.randint(0, limit) for _ in range(6))
+            for m in sorted(steps):
+                v = tuple(rng.randint(-9, 9) for _ in range(k))
+                start = rng.randint(0, 5)
+                expected = v
+                for _ in range(m):
+                    expected = group.matrix.apply(expected)
+                applied.clear()
+                moved = telescope(group, DimGroupElement(v, start), start + m)
+                assert moved == DimGroupElement(expected, start + m), (group.matrix, v, m)
+                squarings, products = _telescope_cost(m, k)
+                powers = len({id(matrix) for matrix in applied})
+                assert (powers, len(applied)) == (squarings + (m > 0), products), (k, m)
+                if m <= 2 * k:
+                    assert all(matrix is group.matrix for matrix in applied)
 
 
 def test_element_equality_via_telescoping():
@@ -124,6 +196,28 @@ def test_order_unit_dominates_decided_positives():
 def test_bratteli_dot_snapshot():
     group = make_dim_group(FIB)
     assert bratteli_dot(group, 2) == FIB_DOT_2
+
+
+def _reference_dot(matrix, levels):
+    """One line per vertex and one per parallel edge."""
+    lines = ["digraph bratteli {"]
+    for floor in range(levels):
+        for index in range(matrix.k):
+            lines.append(f"  v{floor}_{index};")
+    for floor in range(levels - 1):
+        for i in range(matrix.k):
+            for j in range(matrix.k):
+                for _ in range(matrix[i][j]):
+                    lines.append(f"  v{floor}_{j} -> v{floor + 1}_{i};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("levels", [2, 3, 50])
+@pytest.mark.parametrize("matrix", DOT_MATRICES, ids=lambda m: f"k{m.k}")
+def test_bratteli_dot_matches_line_by_line(matrix, levels):
+    group = make_dim_group(matrix)
+    assert bratteli_dot(group, levels) == _reference_dot(matrix, levels)
 
 
 def test_bratteli_dot_counts():

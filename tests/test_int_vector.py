@@ -2,13 +2,13 @@
 
 A float or a string entry is a TypeError and a wrong length is a
 DimensionMismatch; nothing is truncated or parsed into a wrong answer.
-Scalar integer arguments (stages, radii, levels, genus) follow the same
-rule.
+Scalar integer arguments (stages, radii, levels, genus, budgets and
+iteration limits) follow the same rule.
 """
 
 import pytest
 
-from fibernorm.bundle import SingularityData, build_bundle, h2_rank
+from fibernorm.bundle import SingularityData, build_bundle, euler_pairing_fiber, h2_rank
 from fibernorm.dimgroup import (
     DimGroupElement,
     bratteli_dot,
@@ -17,7 +17,7 @@ from fibernorm.dimgroup import (
     telescope,
 )
 from fibernorm.errors import DimensionMismatch
-from fibernorm.exact import IntMatrix, int_vector
+from fibernorm.exact import IntMatrix, char_poly, irreducibility_certificate, int_vector
 from fibernorm.norm import (
     ConeDescription,
     cone_axiom_check,
@@ -25,6 +25,7 @@ from fibernorm.norm import (
     diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
+    gromov_from_thurston,
 )
 from fibernorm.numberfield import (
     TraceFunctional,
@@ -35,7 +36,7 @@ from fibernorm.numberfield import (
     trace_via_mult,
     trace_via_newton,
 )
-from fibernorm.perron import eventual_positivity
+from fibernorm.perron import eventual_positivity, perron_data
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 FOURNACCI = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
@@ -94,7 +95,8 @@ def test_int_vector_accepts_ints_and_bools():
 
 
 # One call per scalar argument: a float once gave a wrong answer
-# (a positive element at stage 0.5, rank 5.0) or range()'s own TypeError.
+# (a positive element at stage 0.5, rank 5.0, Euler pairing 3.0) or the
+# ValueError of islice() or the TypeError of range().
 SCALAR_CALLS = {
     "DimGroupElement-stage": lambda: DimGroupElement((1, 0), 0.5),
     "h2_rank-genus": lambda: h2_rank(2.5, 1),
@@ -104,6 +106,11 @@ SCALAR_CALLS = {
     "cone_axiom_check-scale": lambda: cone_axiom_check(CONE, 1, 2.0),
     "telescope": lambda: telescope(FIB_GROUP, DimGroupElement((1, 0)), 1.5),
     "bratteli_dot": lambda: bratteli_dot(FIB_GROUP, 2.5),
+    "euler_pairing_fiber": lambda: euler_pairing_fiber(2.5),
+    "gromov_from_thurston": lambda: gromov_from_thurston(1.5),
+    "build_order-prime_budget": lambda: build_order(FIB, 2.5),
+    "irreducibility_certificate": lambda: irreducibility_certificate(char_poly(FIB), 2.5),
+    "perron_data-max_iter": lambda: perron_data(FIB, max_iter=2.5),
 }
 
 
@@ -111,3 +118,11 @@ SCALAR_CALLS = {
 def test_scalar_arguments_are_strict(call):
     with pytest.raises(TypeError, match="must be integers"):
         call()
+
+
+# A tolerance that is not finite and positive once ran every iteration
+# before NoConvergence (nan, 0, -1) or stopped after one (inf).
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12])
+def test_perron_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        perron_data(FIB, tol=tol)
