@@ -45,6 +45,7 @@ from .norm import (
     NormReport,
     cone_axiom_check,
     cone_membership,
+    cone_points_text,
     diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
@@ -96,6 +97,7 @@ __all__ = [
     "char_poly",
     "cone_axiom_check",
     "cone_membership",
+    "cone_points_text",
     "diagram_consistency",
     "elements_equal",
     "enumerate_cone_points",

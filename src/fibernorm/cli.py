@@ -20,6 +20,11 @@ return only their report.  Every failure is a FibernormError; its class
 name is the ``error = <Name>`` line on stdout and its ``exit_code`` the
 exit code (1 domain error or non-finite float, 2 parse or usage error,
 3 undecided within budget).  Diagnostics go to stderr.
+
+``cone --box r`` costs one walk over the (2r+1)^(k-1) coordinate
+prefixes plus the output text: ``norm.cone_points_text`` renders the
+points directly, without point tuples or per-integer formatting.  Its
+budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k box.
 """
 
 import decimal
@@ -32,7 +37,7 @@ from .bundle import SingularityData, build_bundle, h2_rank, validate_singularity
 from .dimgroup import DimGroupElement, bratteli_dot, check_levels, is_positive, make_dim_group
 from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
 from .exact import DEFAULT_PRIME_BUDGET, IntMatrix, char_poly
-from .norm import ConeDescription, cone_membership, enumerate_cone_points, fiber_class_report
+from .norm import ConeDescription, cone_membership, cone_points_text, fiber_class_report
 from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
 from .perron import DEFAULT_MAX_ITER, DEFAULT_TOL, Sign, perron_data
 
@@ -65,7 +70,11 @@ flags:
   --format text|dot     bratteli output format       (default text)
 """
 
-# Most cone points a --box scan or lines a DOT diagram may enumerate.
+# Most items a --box scan or a DOT diagram may enumerate.  For --box r
+# over k coordinates the count is the whole (2r+1)^k box, not the cone
+# points: it bounds both the prefix walk ((2r+1)^(k-1) prefixes) and the
+# output (at most (2r+1)^k points), and it is known before any work.
+# For a DOT diagram it is the vertex and edge lines written.
 _OUTPUT_BUDGET = 10**6
 
 
@@ -232,7 +241,6 @@ def serialize_input(doc):
 # --- report formatting -------------------------------------------------------
 
 def _format_value(value):
-    # Plain ints and sequences first: a cone report holds millions of them.
     if type(value) is int:
         try:
             return str(value)
@@ -326,7 +334,7 @@ def _cmd_cone(doc, opts):
         pairs.append(("membership", cone_membership(cone, opts.klass).value))
     if opts.box is not None:
         _check_budget((2 * opts.box + 1) ** len(functional.t), f"--box {opts.box}")
-        pairs.append(("cone_points", enumerate_cone_points(cone, opts.box)))
+        pairs.append(("cone_points", cone_points_text(cone, opts.box)))
     return pairs
 
 

@@ -201,7 +201,7 @@ class IntMatrix:
         self._check_same_size(other)
         cols = other.transpose().rows
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
         )
 
     __rmul__ = __mul__  # int scalars commute; anything else is a TypeError

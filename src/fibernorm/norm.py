@@ -7,6 +7,11 @@ addition and positive scaling.  For the fiber class of a genus-g fibration
 the expected value is 2g-2, twice that for the simplicial (Gromov) norm;
 reports state the measured values and the signed discrepancy, they never
 assert the coincidence.
+
+The cone's lattice points in a box of radius r come from one walk over
+the (2r+1)^(k-1) prefixes of the first k-1 coordinates: the admissible
+last coordinates of each prefix form one interval.  enumerate_cone_points
+turns the walk into tuples, cone_points_text straight into report text.
 """
 
 from dataclasses import dataclass
@@ -145,34 +150,79 @@ def cone_axiom_check(cone, box_radius, scale_max):
     return None
 
 
-def enumerate_cone_points(cone, box_radius):
-    """Lattice points z of the box with z . t >= 0, lexicographic order.
-
-    t is the cone's functional, read directly (cone.value is not
-    called).  For each of the (2r+1)^(k-1) prefixes of the first k-1
-    coordinates, the admissible last coordinates form one interval, read
-    off the prefix sum s and the sign of t_k.  Cost: one prefix dot
-    product per prefix plus one tuple per point returned, not one dot
-    product per box point.
-    """
+def _box_span(box_radius):
+    """The coordinates -r..r of the lattice box of radius r >= 0."""
     (box_radius,) = int_vector((box_radius,), what="box radius")
     if box_radius < 0:
         raise ValueError("box radius must be nonnegative")
+    return range(-box_radius, box_radius + 1)
+
+
+def _cone_runs(cone, span, cells, start):
+    """The cone's points in the box span^k, one run per (k-1)-prefix.
+
+    t is the cone's functional, read directly (cone.value is not
+    called).  cells[i] stands for the coordinate span[i]; a prefix is
+    start followed by the cells of its first k-1 coordinates, built one
+    level at a time together with its dot product s with t[:-1].  Yields
+    (prefix, lo, hi) in lexicographic order for every prefix with points:
+    the admissible last coordinates are span[lo:hi], one interval read
+    off s and the sign of t_k.
+    """
     *head, last = cone.functional.t
-    span = range(-box_radius, box_radius + 1)
-    # lasts[i] is the one-tuple of the i-th last coordinate, -r + i.
+    box_radius, n = span[-1], len(span)
+    prefixes = [(start, 0)]
+    for coefficient in head:
+        steps = [(cell, x * coefficient) for cell, x in zip(cells, span)]
+        prefixes = [(p + cell, s + d) for p, s in prefixes for cell, d in steps]
+    for prefix, s in prefixes:
+        if last > 0:  # s + x * last >= 0  <=>  x >= -(s // last)
+            lo, hi = max(0, box_radius - s // last), n
+        elif last < 0:  # x <= s // -last
+            lo, hi = 0, min(n, box_radius + 1 + s // -last)
+        else:
+            lo, hi = 0, n if s >= 0 else 0
+        if lo < hi:
+            yield prefix, lo, hi
+
+
+def enumerate_cone_points(cone, box_radius):
+    """Lattice points z of the box with z . t >= 0, lexicographic order.
+
+    For each of the (2r+1)^(k-1) prefixes of the first k-1 coordinates,
+    the admissible last coordinates form one interval.  Cost: one prefix
+    walk (one addition per prefix and level) plus one tuple per point
+    returned, not one dot product per box point.
+    """
+    span = _box_span(box_radius)
     lasts = [(x,) for x in span]
     points = []
-    for prefix in product(span, repeat=len(head)):
-        s = sum(map(mul, prefix, head))
-        if last > 0:  # s + x * last >= 0  <=>  x >= -(s // last)
-            admissible = lasts[max(0, box_radius - s // last):]
-        elif last < 0:  # x <= s // -last
-            admissible = lasts[: max(0, box_radius + 1 + s // -last)]
-        else:
-            admissible = lasts if s >= 0 else ()
-        points += map(prefix.__add__, admissible)
+    for prefix, lo, hi in _cone_runs(cone, span, lasts, ()):
+        points += map(prefix.__add__, lasts[lo:hi])
     return points
+
+
+def cone_points_text(cone, box_radius):
+    """The cone points of the box as report text, without building them.
+
+    Equal to the report rendering (cli._format_value) of
+    enumerate_cone_points(cone, box_radius), "[[z1,...,zk],...]", but
+    each prefix's run of points is one str.join over the precomputed
+    texts of the last coordinates.  Cost: the same prefix walk plus the
+    output text; no point tuple and no per-integer formatting.
+
+    >>> from fibernorm.numberfield import TraceFunctional
+    >>> cone_points_text(ConeDescription(TraceFunctional((2, 3))), 1)
+    '[[-1,1],[0,0],[0,1],[1,0],[1,1]]'
+    """
+    span = _box_span(box_radius)
+    lasts = [str(x) for x in span]
+    cells = [x + "," for x in lasts]
+    runs = [
+        prefix + ("]," + prefix).join(lasts[lo:hi]) + "]"
+        for prefix, lo, hi in _cone_runs(cone, span, cells, "[")
+    ]
+    return "[" + ",".join(runs) + "]"
 
 
 def gromov_from_thurston(n):

@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 from fibernorm.cli import InputDocument, main, parse_input, serialize_input, write_report
 from fibernorm.errors import NoConvergence, ParseError
 from fibernorm.exact import IntMatrix
+from fibernorm.norm import ConeDescription, enumerate_cone_points
+from fibernorm.numberfield import TraceFunctional, build_order, trace_functional
 
 QUAD_DOC = "matrix = [[2,1],[1,1]]\n"
 FOURNACCI_DOC = (
@@ -147,6 +150,32 @@ def test_cone_subcommand(tmp_path):
         "membership = Outside\n"
         "cone_points = [[-1,1],[0,0],[0,1],[1,0],[1,1]]\n"
     )
+
+
+def test_cone_box_report_renders_the_point_list(tmp_path):
+    rng = random.Random(2002)
+    for k in range(2, 7):
+        matrix = IntMatrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+        path = write_doc(tmp_path, f"k{k}.txt", serialize_input(InputDocument(matrix)))
+        box = 3 if k <= 4 else 2
+        code, out, _ = run_cli(["cone", "--input", path, "--box", str(box)])
+        assert code == 0, (k, out)
+        functional = trace_functional(build_order(matrix))
+        points = enumerate_cone_points(ConeDescription(functional), box)
+        assert out == write_report([("trace_functional", functional.t), ("cone_points", points)])
+
+
+def test_cone_box_budget_counts_the_whole_box(tmp_path):
+    quad = write_doc(tmp_path, "quad.txt", QUAD_DOC)
+    code, out, _ = run_cli(["cone", "--input", quad, "--box", "499"])  # 999^2 = 998,001 points
+    assert code == 0
+    points = enumerate_cone_points(ConeDescription(TraceFunctional((2, 3))), 499)
+    # For lists of int pairs the repr is the report text up to blanks and brackets.
+    text = str(points).replace(" ", "").replace("(", "[").replace(")", "]")
+    assert out == f"trace_functional = [2,3]\ncone_points = {text}\n"
+    code, out, err = run_cli(["cone", "--input", quad, "--box", "500"])  # 1001^2 = 1,002,001
+    assert (code, out) == (2, "error = UsageError\n")
+    assert "more than 1000000 items" in err
 
 
 def test_validate_subcommand_ok_and_error(tmp_path):

@@ -184,6 +184,19 @@ def test_matrix_powers_and_apply():
     assert QUAD.transpose() == QUAD
 
 
+def test_matrix_product_matches_triple_loop():
+    rng = random.Random(2002)
+    for k in (1, 2, 3, 5, 8):
+        for bits in (2, 200):
+            a, b = (_random_matrix(rng, k, -(2**bits), 2**bits) for _ in range(2))
+            expected = [[sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k)]
+                        for i in range(k)]
+            assert a * b == IntMatrix(expected)
+            c = rng.randint(-(2**bits), 2**bits)
+            scaled = IntMatrix([[c * x for x in row] for row in a.rows])
+            assert a * c == c * a == scaled
+
+
 # --- characteristic polynomial -------------------------------------------------
 
 def test_char_poly_examples():

@@ -22,6 +22,7 @@ from fibernorm.norm import (
     ConeDescription,
     cone_axiom_check,
     cone_membership,
+    cone_points_text,
     diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
@@ -102,6 +103,7 @@ SCALAR_CALLS = {
     "h2_rank-genus": lambda: h2_rank(2.5, 1),
     "h2_rank-count": lambda: h2_rank(2, 1.0),
     "enumerate_cone_points": lambda: enumerate_cone_points(CONE, 1.5),
+    "cone_points_text": lambda: cone_points_text(CONE, 1.5),
     "cone_axiom_check": lambda: cone_axiom_check(CONE, 1.5, 2.5),
     "cone_axiom_check-scale": lambda: cone_axiom_check(CONE, 1, 2.0),
     "telescope": lambda: telescope(FIB_GROUP, DimGroupElement((1, 0)), 1.5),

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from fibernorm.bundle import SingularityData, build_bundle
+from fibernorm.cli import _format_value
 from fibernorm.errors import DimensionMismatch, NegativeNorm
 from fibernorm.exact import IntMatrix
 from fibernorm.norm import (
@@ -15,6 +16,7 @@ from fibernorm.norm import (
     ConeRegion,
     cone_axiom_check,
     cone_membership,
+    cone_points_text,
     diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
@@ -155,6 +157,12 @@ def test_enumerate_cone_points_examples():
         (1, 0),
         (1, 1),
     ]
+    assert cone_points_text(_cone((1, -1)), 1) == "[[-1,-1],[0,-1],[0,0],[1,-1],[1,0],[1,1]]"
+    assert cone_points_text(_cone((-1,)), 2) == "[[-2],[-1],[0]]"
+    assert cone_points_text(_cone((-1, -1)), 0) == "[[0,0]]"
+    for enumerate_box in (enumerate_cone_points, cone_points_text):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_box(_cone((2, 3)), -1)
 
 
 def _box_scan(cone, r):
@@ -185,7 +193,9 @@ def test_enumerate_cone_points_matches_box_scan():
     for t in functionals:
         cone = _cone(t)
         for r in range(4 if len(t) < 4 else 3):  # r = 0 included
-            assert enumerate_cone_points(cone, r) == _box_scan(cone, r), (t, r)
+            points = enumerate_cone_points(cone, r)
+            assert points == _box_scan(cone, r), (t, r)
+            assert cone_points_text(cone, r) == _format_value(points), (t, r)
 
 
 def test_enumerate_cone_points_sorted_and_closed_in_box():
