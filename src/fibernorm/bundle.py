@@ -59,11 +59,12 @@ class PseudoAnosovBundle:
 
 
 def validate_singularity_data(genus, sing):
-    """Check the index identity and the cardinality bounds; raise on failure."""
-    h2_rank(genus, sing.count)
+    """Check the index identity and the cardinality bounds; return the rank 2g+m-1."""
+    rank = h2_rank(genus, sing.count)
     total = sum(n - 2 for n in sing.prongs)
     if total != 4 * genus - 4:
         raise IndexSumMismatch(f"sum of (prongs - 2) is {total}, expected {4 * genus - 4}")
+    return rank
 
 
 def h2_rank(genus, m):
@@ -86,8 +87,7 @@ def euler_pairing_fiber(genus):
 
 def build_bundle(genus, sing, action):
     """Assemble and validate a bundle; the action must be primitive of rank 2g+m-1."""
-    validate_singularity_data(genus, sing)
-    expected = h2_rank(genus, sing.count)
+    expected = validate_singularity_data(genus, sing)
     if action.k != expected:
         raise ActionDimensionMismatch(
             f"action matrix is {action.k}x{action.k}, expected {expected}x{expected}"

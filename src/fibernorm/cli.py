@@ -9,17 +9,18 @@ lines ignored, keys in any order, each at most once):
 
 ``genus`` and ``singularities`` travel together and turn the document
 into a bundle; a bare ``matrix`` is enough for the algebra-level
-subcommands.  Reports are ``key = value`` lines in a fixed key order,
-integers exact, floats with 12 significant digits, so identical inputs
-produce byte-identical output.
+subcommands.  Reports are ``key = value`` lines in the order each
+handler emits them (nothing re-sorts), integers exact, floats with 12
+significant digits, so identical inputs produce byte-identical output.
 
-Flags come from one table, ``_FLAGS``: flag -> (Options attribute,
-converter, expected form); integer and list flags use the document's
-own parsers, so ``--box 1_0`` fails as ``genus = 1_0`` does.  Handlers
-return only their report.  Every failure is a FibernormError; its class
-name is the ``error = <Name>`` line on stdout and its ``exit_code`` the
-exit code (1 domain error or non-finite float, 2 parse or usage error,
-3 undecided within budget).  Diagnostics go to stderr.
+Flags come from one table, ``_FLAGS``: flag -> (option name, converter,
+expected form, default); the options are built from it alone.  Integer
+and list flags use the document's own parsers, so ``--box 1_0`` fails as
+``genus = 1_0`` does, and range checks run before the input is read.
+Handlers return only their report.  Every failure is a FibernormError;
+its class name is the ``error = <Name>`` line on stdout and its
+``exit_code`` the exit code (1 domain error or non-finite float, 2 parse
+or usage error, 3 undecided within budget).  Diagnostics go to stderr.
 
 ``cone --box r`` costs one walk over the (2r+1)^(k-1) coordinate
 prefixes plus the output text: ``norm.cone_points_text`` renders the
@@ -32,14 +33,15 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .bundle import SingularityData, build_bundle, h2_rank, validate_singularity_data
-from .dimgroup import DimGroupElement, bratteli_dot, check_levels, is_positive, make_dim_group
+from .bundle import SingularityData, build_bundle, validate_singularity_data
+from .dimgroup import bratteli_dot, check_levels, make_dim_group
 from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
 from .exact import DEFAULT_PRIME_BUDGET, IntMatrix, char_poly
 from .norm import ConeDescription, cone_membership, cone_points_text, fiber_class_report
 from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
-from .perron import DEFAULT_MAX_ITER, DEFAULT_TOL, Sign, perron_data
+from .perron import DEFAULT_MAX_ITER, DEFAULT_TOL, Sign, eventual_positivity, perron_data
 
 USAGE = """\
 usage: fibernorm <subcommand> --input <path> [flags]
@@ -83,68 +85,11 @@ def _check_budget(count, what):
         raise UsageError(f"{what} enumerates more than {_OUTPUT_BUDGET} items")
 
 
-# Global key order for reports; every subcommand emits a subsequence.
-_KEY_ORDER = (
-    "genus",
-    "singularities",
-    "rank",
-    "charpoly",
-    "trace_functional",
-    "element",
-    "trace",
-    "class",
-    "norm",
-    "membership",
-    "cone_points",
-    "norm_at_fiber",
-    "thurston_fiber_target",
-    "discrepancy",
-    "gromov_value",
-    "dual_euler_value",
-    "negative_fiber_norm",
-    "lambda",
-    "right_vec",
-    "left_vec",
-    "gap",
-    "primitivity_witness",
-    "vector",
-    "stage",
-    "positivity",
-    "witness",
-    "levels",
-    "vertex_count",
-    "edge_count",
-    "valid",
-    "error",
-)
-_KEY_RANK = {key: i for i, key in enumerate(_KEY_ORDER)}
-
-
 @dataclass(frozen=True)
 class InputDocument:
     matrix: IntMatrix
     genus: int | None = None
     singularities: tuple[int, ...] | None = None
-
-    @property
-    def kind(self):
-        return "Bundle" if self.genus is not None else "MatrixOnly"
-
-
-@dataclass
-class Options:
-    input: str | None = None
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    prime_budget: int = DEFAULT_PRIME_BUDGET
-    element: tuple[int, ...] | None = None
-    klass: tuple[int, ...] | None = None
-    fiber_class: tuple[int, ...] | None = None
-    box: int | None = None
-    levels: int = 3
-    stage: int = 0
-    vector: tuple[int, ...] | None = None
-    format: str = "text"
 
 
 # --- input document parsing --------------------------------------------------
@@ -187,7 +132,7 @@ def _parse_matrix(text, line):
         raise ParseError(f"expected [[..],[..]] matrix, got {text!r}", line)
     # A stray bracket or separator stays inside a row and fails as an integer.
     rows = _ROW_BREAK.split(text[2:-2])
-    entries = [_parse_bracket_int_list(f"[{row}]", line) for row in rows]
+    entries = [_parse_bare_int_list(row, line) for row in rows]
     try:
         return IntMatrix(entries)
     except ValueError as exc:
@@ -250,8 +195,6 @@ def _format_value(value):
         return "[" + ",".join([_format_value(v) for v in value]) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return _format_value(int(value))
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NoConvergence(f"non-finite value {value} in the report")
@@ -262,12 +205,12 @@ def _format_value(value):
 
 
 def write_report(pairs):
-    """Render (key, value) pairs in the canonical key order, one per line.
+    """Render (key, value) pairs one per line, in the order given.
 
-    Raises NoConvergence rather than print a non-finite float.
+    Each handler emits its keys in its subcommand's fixed order.  Raises
+    NoConvergence rather than print a non-finite float.
     """
-    ordered = sorted(pairs, key=lambda kv: _KEY_RANK[kv[0]])
-    return "".join(f"{key} = {_format_value(value)}\n" for key, value in ordered)
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in pairs)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -279,7 +222,7 @@ def _require(option, flag):
 
 
 def _require_bundle(doc):
-    if doc.kind != "Bundle":
+    if doc.genus is None:
         raise UsageError("this subcommand needs 'genus' and 'singularities' in the input")
 
 
@@ -341,27 +284,24 @@ def _cmd_cone(doc, opts):
 def _cmd_validate(doc, opts):
     _require_bundle(doc)
     sing = SingularityData(doc.singularities)
-    validate_singularity_data(doc.genus, sing)
+    rank = validate_singularity_data(doc.genus, sing)
     return [
         ("genus", doc.genus),
         ("singularities", sing.prongs),
-        ("rank", h2_rank(doc.genus, sing.count)),
+        ("rank", rank),
         ("valid", "ok"),
     ]
 
 
 def _cmd_dimgroup(doc, opts):
-    group = make_dim_group(doc.matrix)
-    if opts.stage < 0:
-        raise UsageError("--stage must be nonnegative")
-    vector = opts.vector if opts.vector is not None else (1,) * group.k
-    element = DimGroupElement(vector, opts.stage)
-    sign = is_positive(group, element)
+    # Telescoping does not change the sign, so the stage is only echoed.
+    vector = opts.vector if opts.vector is not None else (1,) * doc.matrix.k
+    sign = eventual_positivity(doc.matrix, vector)
     if sign.sign is Sign.UNDECIDED:
         raise PositivityUndecided(f"still mixed-sign after {sign.bound} iterations")
     pairs = [
-        ("vector", element.v),
-        ("stage", element.stage),
+        ("vector", vector),
+        ("stage", opts.stage),
         ("positivity", sign.sign.value),
     ]
     if sign.witness is not None:
@@ -400,10 +340,10 @@ def _cmd_report(doc, opts):
         ("norm_at_fiber", report.norm_at_fiber),
         ("thurston_fiber_target", report.thurston_fiber_target),
         ("discrepancy", report.discrepancy),
-        ("dual_euler_value", report.dual_euler_value),
     ]
     if report.gromov_value is not None:
         pairs.append(("gromov_value", report.gromov_value))
+    pairs.append(("dual_euler_value", report.dual_euler_value))
     if report.negative_fiber_norm:
         pairs.append(("negative_fiber_norm", True))
     return pairs
@@ -434,37 +374,40 @@ def _checked(convert, accept):
     return checked
 
 
-# flag -> (Options attribute, converter, expected form).  A converter
+# flag -> (option name, converter, expected form, default).  A converter
 # rejects a value by raising ValueError or ParseError.
 _FLAGS = {
-    "--input": ("input", str, "a path"),
-    "--tol": ("tol", _checked(float, lambda t: 0 < t < math.inf), "a finite number > 0"),
-    "--max-iter": ("max_iter", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1"),
-    "--prime-budget": ("prime_budget", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1"),
-    "--element": ("element", _parse_bracket_int_list, "[i,j,...]"),
-    "--class": ("klass", _parse_bracket_int_list, "[i,j,...]"),
-    "--fiber-class": ("fiber_class", _parse_bracket_int_list, "[i,j,...]"),
-    "--box": ("box", _checked(_parse_int, lambda n: n >= 0), "an integer >= 0"),
-    "--levels": ("levels", _parse_int, "an integer"),
-    "--stage": ("stage", _parse_int, "an integer"),
-    "--vector": ("vector", _parse_bracket_int_list, "[i,j,...]"),
-    "--format": ("format", _checked(str, lambda f: f in ("text", "dot")), "text or dot"),
+    "--input": ("input", str, "a path", None),
+    "--tol": ("tol", _checked(float, lambda t: 0 < t < math.inf), "a finite number > 0",
+              DEFAULT_TOL),
+    "--max-iter": ("max_iter", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1",
+                   DEFAULT_MAX_ITER),
+    "--prime-budget": ("prime_budget", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1",
+                       DEFAULT_PRIME_BUDGET),
+    "--element": ("element", _parse_bracket_int_list, "[i,j,...]", None),
+    "--class": ("klass", _parse_bracket_int_list, "[i,j,...]", None),
+    "--fiber-class": ("fiber_class", _parse_bracket_int_list, "[i,j,...]", None),
+    "--box": ("box", _checked(_parse_int, lambda n: n >= 0), "an integer >= 0", None),
+    "--levels": ("levels", _parse_int, "an integer", 3),
+    "--stage": ("stage", _checked(_parse_int, lambda n: n >= 0), "an integer >= 0", 0),
+    "--vector": ("vector", _parse_bracket_int_list, "[i,j,...]", None),
+    "--format": ("format", _checked(str, lambda f: f in ("text", "dot")), "text or dot", "text"),
 }
 
 
 def _parse_argv(argv):
     if not argv or argv[0] not in _HANDLERS:
         raise UsageError(f"missing or unknown subcommand {argv[:1]}")
-    opts = Options()
+    opts = SimpleNamespace(**{name: default for name, _, _, default in _FLAGS.values()})
     for i in range(1, len(argv), 2):
         flag = argv[i]
         if flag not in _FLAGS:
             raise UsageError(f"unknown flag or stray argument {flag!r}")
         if i + 1 == len(argv):
             raise UsageError(f"flag {flag} needs a value")
-        attribute, convert, form = _FLAGS[flag]
+        name, convert, form, _ = _FLAGS[flag]
         try:
-            setattr(opts, attribute, convert(argv[i + 1]))
+            setattr(opts, name, convert(argv[i + 1]))
         except (ValueError, ParseError):
             raise UsageError(f"{flag} expects {form}, got {argv[i + 1]!r}") from None
     if opts.input is None:

@@ -549,12 +549,10 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
             searched = True
             factor = _factor_from_roots(p, possible)
             if factor is not None:
-                break
-    if factor is not None:
-        return IrreducibilityCertificate(
-            CertificateStatus.REDUCIBLE,
-            factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
-            patterns=patterns,
-            factor=factor,
-        )
+                return IrreducibilityCertificate(
+                    CertificateStatus.REDUCIBLE,
+                    factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
+                    patterns=patterns,
+                    factor=factor,
+                )
     return IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)

@@ -24,8 +24,6 @@ from .errors import NegativeNorm
 from .exact import DEFAULT_PRIME_BUDGET, IntPolynomial, int_vector
 from .numberfield import TraceFunctional, build_order, norm_value, trace_functional
 
-HomologyClass = tuple[int, ...]
-
 
 class ConeRegion(Enum):
     INTERIOR = "Interior"

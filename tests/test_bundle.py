@@ -41,8 +41,10 @@ def test_singularity_data_normalizes_and_guards():
 
 
 def test_validate_examples():
-    validate_singularity_data(2, SingularityData((3, 3, 3, 3)))
-    validate_singularity_data(2, SingularityData((6,)))
+    # the validator returns the rank 2g + m - 1 its bounds check computes
+    assert validate_singularity_data(2, SingularityData((3, 3, 3, 3))) == 7
+    assert validate_singularity_data(2, SingularityData((6,))) == 4
+    assert validate_singularity_data(3, SingularityData((3,) * 8)) == 2 * 3 + 8 - 1
     with pytest.raises(IndexSumMismatch):
         validate_singularity_data(2, SingularityData((3, 4)))
     with pytest.raises(GenusTooSmall):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from fibernorm import perron
 from fibernorm.cli import InputDocument, main, parse_input, serialize_input, write_report
 from fibernorm.errors import NoConvergence, ParseError
 from fibernorm.exact import IntMatrix
@@ -39,9 +40,9 @@ def write_doc(tmp_path, name, text):
 
 def test_parse_matrix_only():
     doc = parse_input(QUAD_DOC)
-    assert doc.kind == "MatrixOnly"
     assert doc.matrix == IntMatrix([[2, 1], [1, 1]])
     assert doc.genus is None
+    assert doc.singularities is None
     # blanks and tabs may surround the one comma between rows
     assert parse_input("matrix = [[2,1] ,\t [1,1]]\n") == doc
 
@@ -49,14 +50,13 @@ def test_parse_matrix_only():
 def test_parse_bundle_with_comments_and_blank_lines():
     text = "# a bundle\n\ngenus = 2\nsingularities = 3,3,3,3\n\nmatrix = [[1,1],[1,0]]\n"
     doc = parse_input(text)
-    assert doc.kind == "Bundle"
     assert doc.genus == 2
     assert doc.singularities == (3, 3, 3, 3)
 
 
 def test_parse_companion_bundle():
     doc = parse_input(FOURNACCI_DOC)
-    assert doc.kind == "Bundle"
+    assert doc.genus == 2
     assert doc.singularities == (6,)
     assert doc.matrix.k == 4
 
@@ -96,8 +96,9 @@ def test_round_trip_through_serialize():
 
 
 def test_write_report_orders_keys_and_formats_values():
+    # keys come out in the order given: each handler fixes its own order
     text = write_report([("trace", 5), ("genus", 2), ("gap", 0.25), ("class", (1, -2))])
-    assert text == "genus = 2\ntrace = 5\nclass = [1,-2]\ngap = 0.25\n"
+    assert text == "trace = 5\ngenus = 2\ngap = 0.25\nclass = [1,-2]\n"
     for bad in (float("nan"), float("inf")):
         with pytest.raises(NoConvergence):
             write_report([("lambda", 2.5), ("gap", bad)])
@@ -207,6 +208,36 @@ def test_dimgroup_subcommand(tmp_path):
     code, out, _ = run_cli(["dimgroup", "--input", undecided, "--vector", "[1,-1]"])
     assert code == 3
     assert out == "error = PositivityUndecided\n"
+
+
+def test_dimgroup_decides_primitivity_once(tmp_path, monkeypatch):
+    original = perron.primitivity_check
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    # wrap it in every fibernorm namespace that binds it (perron, dimgroup, bundle, ...)
+    namespaces = [m for n, m in sys.modules.items() if n.split(".")[0] == "fibernorm"]
+    for module in namespaces:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    path = write_doc(tmp_path, "fib.txt", "matrix = [[1,1],[1,0]]\n")
+    code, out, _ = run_cli(["dimgroup", "--input", path, "--vector", "[1,-1]", "--stage", "2"])
+    assert (code, out) == (0, "vector = [1,-1]\nstage = 2\npositivity = Positive\nwitness = 3\n")
+    assert len(calls) == 1
+
+
+def test_negative_stage_is_a_usage_error_before_the_input_is_read(tmp_path):
+    # the range check runs with the flags, ahead of parsing and of primitivity
+    ident = write_doc(tmp_path, "ident.txt", "matrix = [[1,0],[0,1]]\n")
+    broken = write_doc(tmp_path, "broken.txt", "matrix = [[1,\n")
+    for path in (ident, broken):
+        code, out, err = run_cli(["dimgroup", "--input", path, "--stage", "-1"])
+        assert (code, out) == (2, "error = UsageError\n")
+        assert "--stage expects an integer >= 0" in err
 
 
 def test_bratteli_subcommand_text_and_dot(tmp_path):
