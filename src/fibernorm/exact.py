@@ -257,6 +257,27 @@ def char_poly(A):
 def matrix_min_poly(A):
     """Monic minimal polynomial of A over the rationals.
 
+    The minimal polynomial divides p = char_poly(A) and has every
+    eigenvalue as a root, so it equals p whenever p is squarefree.  p is
+    monic, so a square factor over Q stays a square factor mod every
+    prime q, and gcd(p mod q, p' mod q) = 1 for one q proves p
+    squarefree.  The first DEFAULT_PRIME_BUDGET primes are tried; each
+    try is one gcd in F_q[x], so the usual cost is one char_poly.  Only a
+    char poly not shown squarefree runs _min_poly_by_elimination, about
+    k^6 bigint operations.  Either way the answer is exact: the primes
+    bound the cost, not the result.
+    """
+    p = char_poly(A)
+    derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
+    for q in first_primes(DEFAULT_PRIME_BUDGET):
+        if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
+            return p
+    return _min_poly_by_elimination(A)
+
+
+def _min_poly_by_elimination(A):
+    """Monic minimal polynomial of A from the matrix powers themselves.
+
     The first of I, A, A^2, ... to reduce to zero against the earlier ones
     (one fraction-free elimination, rows divided by their content) gives
     the smallest linear dependence; the result divides char_poly(A) and

@@ -26,7 +26,7 @@ from .exact import (
     DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
-    char_poly,
+    char_poly,  # noqa: F401  (numberfield.char_poly stays bound for callers)
     int_vector,
     irreducibility_certificate,
     matrix_min_poly,
@@ -83,20 +83,26 @@ def build_order(A, prime_budget=DEFAULT_PRIME_BUDGET):
 
     Requires the characteristic polynomial to be the minimal polynomial
     and certifiably irreducible, so that the field really has degree k.
+    The minimal polynomial is monic and divides the characteristic
+    polynomial, so the two are equal exactly when it has degree k; it
+    comes from matrix_min_poly, which computes the characteristic
+    polynomial once and returns it when it is squarefree mod a small
+    prime.  Then an order costs one char_poly and one certificate.
+    DegenerateMonodromy is raised before prime_budget is checked.
     """
-    cp = char_poly(A)
-    if cp != matrix_min_poly(A) or cp.degree < 2:
+    min_poly = matrix_min_poly(A)
+    if min_poly.degree != A.k or A.k < 2:
         raise DegenerateMonodromy(
             "characteristic and minimal polynomial differ (or degree < 2)"
         )
-    certificate = irreducibility_certificate(cp, prime_budget)
+    certificate = irreducibility_certificate(min_poly, prime_budget)
     if certificate.status is CertificateStatus.REDUCIBLE:
         raise NotAField(f"characteristic polynomial splits: degrees {certificate.factor_degrees}")
     if certificate.status is CertificateStatus.UNDECIDED:
         raise IrreducibilityUnverified(
             f"irreducibility undecided within the first {prime_budget} primes"
         )
-    return NumberFieldOrder(cp, certificate)
+    return NumberFieldOrder(min_poly, certificate)
 
 
 def mult_matrix(order, a):

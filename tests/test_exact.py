@@ -6,14 +6,17 @@ determinant on plain coefficient lists, and the mod-p factor degrees
 against exhaustive trial division.
 """
 
+import math
 import random
 import time
 from itertools import combinations
 
 import pytest
 
+from fibernorm import exact
 from fibernorm.errors import BadReductionPrime
 from fibernorm.exact import (
+    DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
@@ -238,6 +241,24 @@ def test_min_poly_on_derogatory_and_nilpotent_matrices():
     # a Jordan block is non-derogatory: min poly equals (x-1)^2
     assert matrix_min_poly(IntMatrix([[1, 1], [0, 1]])) == IntPolynomial([1, -2, 1])
     assert matrix_min_poly(IntMatrix([[0, 1], [0, 0]])) == IntPolynomial([0, 0, 1])
+
+
+def test_min_poly_falls_back_to_elimination_when_no_prime_shows_squarefree(monkeypatch):
+    # x^2 - P x is squarefree over Q, but x^2 mod every prime the shortcut tries
+    P = math.prod(first_primes(DEFAULT_PRIME_BUDGET))
+    eliminated = []
+    original = exact._min_poly_by_elimination
+
+    def counted(A):
+        eliminated.append(A)
+        return original(A)
+
+    monkeypatch.setattr(exact, "_min_poly_by_elimination", counted)
+    matrix = IntMatrix([[0, 0], [0, P]])
+    assert matrix_min_poly(matrix) == IntPolynomial([0, -P, 1]) == char_poly(matrix)
+    assert eliminated == [matrix]
+    assert matrix_min_poly(QUAD) == char_poly(QUAD)
+    assert eliminated == [matrix]
 
 
 def test_min_poly_divides_char_poly():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fibernorm import exact, numberfield
 from fibernorm.errors import (
     DegenerateMonodromy,
     DimensionMismatch,
@@ -28,6 +29,7 @@ from fibernorm.perron import primitivity_check
 
 QUAD = IntMatrix([[2, 1], [1, 1]])
 TRIB = IntMatrix([[1, 1, 0], [1, 0, 1], [1, 0, 0]])
+FOURNACCI = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])  # README's report
 
 
 def _random_certified_matrix(rng, max_k=4):
@@ -90,6 +92,44 @@ def test_build_order_refuses_reducible_and_undecided():
         build_order(companion_x4_plus_1, 10)
 
 
+def test_build_order_never_runs_the_elimination_on_squarefree_char_polys(monkeypatch):
+    def refuse(A):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(exact, "_min_poly_by_elimination", refuse)
+    rng = random.Random(32)
+    big = IntMatrix([[rng.randint(0, 2) for _ in range(32)] for _ in range(32)])
+    for matrix in (QUAD, TRIB, FOURNACCI, big):
+        assert build_order(matrix).degree == matrix.k
+
+
+def test_build_order_computes_the_char_poly_once(monkeypatch):
+    calls = []
+    original = exact.char_poly
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(exact, "char_poly", counted)
+    monkeypatch.setattr(numberfield, "char_poly", counted)
+    build_order(TRIB)
+    assert calls == [TRIB]
+
+
+def test_build_order_error_precedence():
+    # a degenerate matrix is refused before the prime budget is read
+    with pytest.raises(DegenerateMonodromy):
+        build_order(IntMatrix([[2, 0], [0, 2]]), 2.5)
+    with pytest.raises(DegenerateMonodromy):
+        build_order(IntMatrix([[5]]))
+    with pytest.raises(ValueError):
+        build_order(QUAD, 0)
+    # constant row sum 2: the eigenvector (1, 1, 1, 1) splits off x - 2
+    with pytest.raises(NotAField):
+        build_order(IntMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]))
+
+
 def test_order_constructor_enforces_certificate():
     p = IntPolynomial([1, -3, 1])
     with pytest.raises(ValueError):
@@ -142,8 +182,7 @@ def test_trace_examples():
 def test_trace_functional_examples():
     assert trace_functional(build_order(QUAD)).t == (2, 3)
     assert trace_functional(build_order(TRIB)).t == (3, 1, 3)
-    fournacci = IntMatrix([[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    assert trace_functional(build_order(fournacci)).t == (4, 1, 3, 7)
+    assert trace_functional(build_order(FOURNACCI)).t == (4, 1, 3, 7)
 
 
 def test_norm_value_examples():

@@ -7,14 +7,18 @@ factor's exponent is lowered while the product still annihilates the
 matrix, which shares no code path with the elimination under test.
 """
 
+import math
+
 import pytest
 
 from fibernorm.exact import (
+    DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
     char_poly,
     factor_mod_p,
+    first_primes,
     irreducibility_certificate,
     matrix_min_poly,
 )
@@ -90,6 +94,8 @@ def _sympy_min_poly(m):
 
 @FEW
 @hypothesis.given(st.one_of(square_matrices, block_repeats, nilpotents))
+# squarefree over Q but not mod any prime the shortcut tries: the elimination path
+@hypothesis.example([[0, 0], [0, math.prod(first_primes(DEFAULT_PRIME_BUDGET))]])
 def test_char_and_min_poly_match_sympy(rows):
     matrix, m = IntMatrix(rows), sympy.Matrix(rows)
     assert list(char_poly(matrix).coeffs) == _coeffs(m.charpoly(X).as_expr())
