@@ -4,8 +4,9 @@ Everything in this module is arbitrary precision and uses only exact
 arithmetic (the characteristic polynomial comes from Berkowitz's
 recursion, which does no division at all), so results are bit-for-bit
 reproducible.  The one place floats enter is the search for a
-rational factor: numeric roots propose candidate factors, and only an
-exact division accepts one.  All values are immutable once built.
+rational factor of degree 2 or more (integer roots are found exactly,
+by Hensel lifting): numeric roots propose candidate factors, and only
+an exact division accepts one.  All values are immutable once built.
 
 ``int_vector`` is the one rule for integer vectors across the package:
 matrix rows, polynomial coefficients, classes, field elements,
@@ -258,20 +259,15 @@ def matrix_min_poly(A):
     """Monic minimal polynomial of A over the rationals.
 
     The minimal polynomial divides p = char_poly(A) and has every
-    eigenvalue as a root, so it equals p whenever p is squarefree.  p is
-    monic, so a square factor over Q stays a square factor mod every
-    prime q, and gcd(p mod q, p' mod q) = 1 for one q proves p
-    squarefree.  The first DEFAULT_PRIME_BUDGET primes are tried; each
-    try is one gcd in F_q[x], so the usual cost is one char_poly.  Only a
-    char poly not shown squarefree runs _min_poly_by_elimination, about
-    k^6 bigint operations.  Either way the answer is exact: the primes
-    bound the cost, not the result.
+    eigenvalue as a root, so it equals p whenever p is squarefree, which
+    _squarefree_prime proves with one gcd in F_q[x] per prime tried: the
+    usual cost is one char_poly.  Only a char poly not shown squarefree
+    runs _min_poly_by_elimination, about k^6 bigint operations.  Either
+    way the answer is exact: the primes bound the cost, not the result.
     """
     p = char_poly(A)
-    derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
-    for q in first_primes(DEFAULT_PRIME_BUDGET):
-        if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
-            return p
+    if _squarefree_prime(p) is not None:
+        return p
     return _min_poly_by_elimination(A)
 
 
@@ -418,14 +414,70 @@ def _fp_gcd(a, b, q):
 
 
 def _fp_powmod(base, exponent, modulus, q):
-    result = [1]
+    """base^exponent mod modulus in F_q[x], for exponent >= 1.
+
+    Left-to-right binary powering from base itself: one squaring per bit
+    after the leading one, and one multiplication per further set bit.
+    """
     base = _fp_divmod(base, modulus, q)[1]
-    while exponent:
-        if exponent & 1:
+    result = base
+    for bit in bin(exponent)[3:]:
+        result = _fp_divmod(_fp_mul(result, result, q), modulus, q)[1]
+        if bit == "1":
             result = _fp_divmod(_fp_mul(result, base, q), modulus, q)[1]
-        base = _fp_divmod(_fp_mul(base, base, q), modulus, q)[1]
-        exponent >>= 1
     return result
+
+
+def _squarefree_prime(p):
+    """The first prime q with p squarefree mod q, or None.
+
+    The first DEFAULT_PRIME_BUDGET primes are tried, each generated only
+    when reached.  gcd(p mod q, p' mod q) = 1 means no repeated root over
+    the algebraic closure of F_q.  p is
+    monic, so a square factor over Q stays a square factor mod every q,
+    and one such prime proves p squarefree over Q.  None when no prime
+    tried shows it.
+    """
+    derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
+    for q in itertools.islice(_primes(), DEFAULT_PRIME_BUDGET):
+        if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
+            return q
+    return None
+
+
+def _least_integer_root(p):
+    """The least integer root of a monic p, or None when p has none.
+
+    A root r mod q of p, with p squarefree mod q, is simple, so Newton's
+    step r - p(r)/p'(r) lifts it from q^e to q^{2e} uniquely (Hensel).
+    Every integer root lies within R of 0: R is the Cauchy bound
+    1 + max |a_i| below the leading term, or |p(0)| when that is smaller
+    and nonzero, since an integer root divides p(0).  So once q^e > 2R
+    each integer root is the symmetric residue of one lifted root, and
+    exact evaluation accepts only residues with p(r) == 0.  None also
+    when no prime shows p squarefree: then nothing is proved.
+    """
+    q = _squarefree_prime(p)
+    if q is None:
+        return None
+    coeffs = p.coeffs
+    derivative = IntPolynomial([i * c for i, c in enumerate(coeffs)][1:])
+    bound = 1 + max((abs(c) for c in coeffs[:-1]), default=0)
+    if coeffs[0]:
+        bound = min(bound, abs(coeffs[0]))
+    roots = []
+    for r in range(q):
+        if p(r) % q:
+            continue
+        modulus = q
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            r = (r - p(r) * pow(derivative(r), -1, modulus)) % modulus
+        if r > modulus // 2:
+            r -= modulus
+        if p(r) == 0:
+            roots.append(r)
+    return min(roots, default=None)
 
 
 def factor_mod_p(p, q):
@@ -532,16 +584,20 @@ def _factor_from_roots(p, candidate_degrees):
 def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     """Certify irreducibility of a monic integer polynomial over Q.
 
-    A monic factor of degree d reduces mod every prime to factors whose
-    degrees sum to d, so the proper subset sums of the mod-q patterns are
-    intersected over the prime budget, each prime generated only when the
-    loop reaches it: an empty intersection proves irreducibility.  If
-    degrees are left (and the degree is at most 8), products of the
-    numeric roots propose integer factors of those degrees, and exact
-    division decides: Reducible is returned only with a factor that
-    divides p.  The search runs once: when _STALL_PRIMES primes in a row
-    narrow nothing, or at the last prime.  Anything else is Undecided, as
-    is x^4 + 1, irreducible but with degree 2 open at every prime.
+    First an exact test for a linear factor: when p has degree at least 2
+    and an integer root, found by Hensel lifting (_least_integer_root),
+    the answer is Reducible with factor x - r for the least such root r
+    and no pattern read.  Otherwise a monic factor of degree d reduces
+    mod every prime to factors whose degrees sum to d, so the proper
+    subset sums of the mod-q patterns are intersected over the prime
+    budget, each prime generated only when the loop reaches it: an empty
+    intersection proves irreducibility.  If degrees are left (and the
+    degree is at most 8), products of the numeric roots propose integer
+    factors of those degrees, and exact division decides: Reducible is
+    returned only with a factor that divides p.  The search runs once:
+    when _STALL_PRIMES primes in a row narrow nothing, or at the last
+    prime.  Anything else is Undecided, as is x^4 + 1, irreducible but
+    with degree 2 open at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -549,6 +605,13 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     if prime_budget < 1:
         raise ValueError("prime budget must be at least 1")
     k = p.degree
+    root = _least_integer_root(p) if k >= 2 else None
+    if root is not None:
+        return IrreducibilityCertificate(
+            CertificateStatus.REDUCIBLE,
+            factor_degrees=(1, k - 1),
+            factor=IntPolynomial([-root, 1]),
+        )
     possible = set(range(1, k))
     patterns = ()
     stalled = 0

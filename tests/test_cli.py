@@ -299,6 +299,12 @@ def test_exit_codes_and_error_lines(tmp_path):
     # k=10 companion with 160-bit coefficients: the spectral gap overflows
     rows = [[int(j == i - 1) for j in range(9)] + [2**160] for i in range(10)]
     overflow = write_doc(tmp_path, "c10.txt", f"matrix = {rows}\n".replace(" ", ""))
+    # diag(1, companion of x^9 - x - 1): degree 10 is past the float factor
+    # search, and the exact integer root 1 splits off x - 1
+    rows = [[1] + [0] * 9] + [
+        [0] + [int(j == i - 1) for j in range(8)] + [int(i < 2)] for i in range(9)
+    ]
+    root_one = write_doc(tmp_path, "d10.txt", f"matrix = {rows}\n".replace(" ", ""))
     # "²" and "٣" pass str.isdigit(); only ASCII digits are integers here
     superscript = write_doc(tmp_path, "sup.txt", "matrix = [[1,1],[1,\u00b2]]\n")
     arabic_indic = write_doc(tmp_path, "ar.txt", "matrix = [[1,1],[1,\u0663]]\n")
@@ -336,6 +342,7 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["trace", "--input", undecidable, "--element", "[1,0,0,0]"], 3,
          "IrreducibilityUnverified"),
         (["trace", "--input", huge, "--element", "[1,1]"], 1, "NotAField"),
+        (["trace", "--input", root_one, "--element", "[1,0,0,0,0,0,0,0,0,0]"], 1, "NotAField"),
         (["trace", "--input", huge, "--element", "[1,1]", "--prime-budget", "100000000"], 1,
          "NotAField"),
         (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),

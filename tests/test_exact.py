@@ -6,6 +6,7 @@ determinant on plain coefficient lists, and the mod-p factor degrees
 against exhaustive trial division.
 """
 
+import itertools
 import math
 import random
 import time
@@ -440,12 +441,142 @@ def test_certificate_divisor_enumeration_is_bounded():
 
 
 def test_certificate_undecided_when_roots_do_not_fit_a_float():
-    # (x - 2^1100)(x + 1): the patterns leave degree 1 open, and the
-    # coefficients overflow a float, so no candidate factor is proposed.
-    p = IntPolynomial([-(2**1100), 1]) * IntPolynomial([1, 1])
+    # (x^2 - 2)(x^2 + 2^1100 x + 3) has no integer root, the patterns leave
+    # degree 2 open, and the coefficients overflow a float, so no candidate
+    # factor is proposed.
+    p = IntPolynomial([-2, 0, 1]) * IntPolynomial([3, 2**1100, 1])
+    assert exact._least_integer_root(p) is None
     cert = irreducibility_certificate(p, 10)
     assert cert.status is CertificateStatus.UNDECIDED
     assert cert.factor is None
+    assert len(cert.patterns) == 10
+
+
+def test_certificate_finds_an_integer_root_that_does_not_fit_a_float():
+    # (x - 2^1100)(x + 1): its roots overflow a float, but the lifted
+    # roots are exact at any size.
+    p = IntPolynomial([-(2**1100), 1]) * IntPolynomial([1, 1])
+    cert = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert cert.factor == IntPolynomial([1, 1])
+    assert (cert.factor_degrees, cert.patterns, cert.witness_prime) == ((1, 1), (), None)
+    # the least root wins even when it is the huge one
+    p = IntPolynomial([2**1100, 1]) * IntPolynomial([-3, 1]) * IntPolynomial([1, 0, 1])
+    cert = irreducibility_certificate(p, 10)
+    assert cert.factor == IntPolynomial([2**1100, 1])
+    assert cert.factor_degrees == (1, 3)
+
+
+# --- integer roots by Hensel lifting ---------------------------------------------
+
+def _integer_roots_oracle(coeffs):
+    """Every integer root of the ascending coefficients, by divisors of p(0)."""
+    coeffs = list(coeffs)
+    roots = set()
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        roots.add(0)
+        coeffs.pop(0)
+    if len(coeffs) > 1:
+        c0 = abs(coeffs[0])
+        for d in range(1, c0 + 1):
+            if c0 % d == 0:
+                for r in (d, -d):
+                    if sum(c * r**i for i, c in enumerate(coeffs)) == 0:
+                        roots.add(r)
+    return roots
+
+
+def _linear_products(rng, count):
+    """Monic polynomials built with known integer roots, one extra factor each."""
+    for _ in range(count):
+        p = IntPolynomial([rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] + [1])
+        for _ in range(rng.randint(1, 3)):
+            p = p * IntPolynomial([-rng.randint(-40, 40), 1])
+        yield p
+
+
+def test_least_integer_root_matches_the_divisor_oracle():
+    rng = random.Random(1969)
+    randoms = (
+        IntPolynomial([rng.randint(-30, 30) for _ in range(rng.randint(1, 7))] + [1])
+        for _ in range(300)
+    )
+    decided = 0
+    for p in itertools.chain(randoms, _linear_products(rng, 200)):
+        found = exact._least_integer_root(p)
+        if exact._squarefree_prime(p) is None:
+            assert found is None  # nothing is claimed without a squarefree prime
+            continue
+        decided += 1
+        assert found == min(_integer_roots_oracle(p.coeffs), default=None), p
+    assert decided > 450
+
+
+def test_certificate_returns_the_least_integer_root_without_reading_primes():
+    rng = random.Random(7)
+    for p in _linear_products(rng, 60):
+        if p.degree < 2:  # x - r is irreducible: nothing to split off
+            assert irreducibility_certificate(p, 10).status is CertificateStatus.IRREDUCIBLE
+            continue
+        if exact._squarefree_prime(p) is None:
+            continue
+        cert = irreducibility_certificate(p, 10)
+        least = min(_integer_roots_oracle(p.coeffs))
+        assert cert.status is CertificateStatus.REDUCIBLE
+        assert cert.factor == IntPolynomial([-least, 1])
+        assert cert.factor_degrees == (1, p.degree - 1)
+        assert cert.patterns == ()
+        assert p.div_rem(cert.factor)[1].is_zero
+
+
+def test_least_integer_root_examples():
+    x = IntPolynomial([0, 1])
+    # p(0) = 0 with a negative root: the least root wins, not 0, and the
+    # lift runs to the Cauchy bound since |p(0)| bounds nothing
+    p = x * IntPolynomial([1000, 1]) * IntPolynomial([-2, 1]) * IntPolynomial([1, 0, 1])
+    assert exact._least_integer_root(p) == -1000
+    # several roots
+    p = IntPolynomial([-1, 1]) * IntPolynomial([-2, 1]) * IntPolynomial([5, 1]) * IntPolynomial([-7, 1])
+    assert exact._least_integer_root(p) == -5
+    # no integer root: x^2 - 2, x^4 + 1, x^3 - x - 1
+    for coeffs in ([-2, 0, 1], [1, 0, 0, 0, 1], [-1, -1, 0, 1]):
+        assert exact._least_integer_root(IntPolynomial(coeffs)) is None
+    # a large constant term: x^2 - 4000^2, the corpus's divisor stress
+    assert exact._least_integer_root(IntPolynomial([-(4000**2), 0, 1])) == -4000
+
+
+def test_nothing_is_claimed_when_no_budget_prime_shows_p_squarefree():
+    # x^2 - P x = x (x - P) is x^2 mod every prime tried, so the lift never
+    # starts; the patterns and the float search decide as before.
+    P = math.prod(first_primes(DEFAULT_PRIME_BUDGET))
+    p = IntPolynomial([0, -P, 1])
+    assert exact._squarefree_prime(p) is None
+    assert exact._least_integer_root(p) is None
+    cert = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.REDUCIBLE
+    assert cert.patterns  # reached through the prime loop
+    assert p.div_rem(cert.factor)[1].is_zero
+
+
+def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
+    # the root test only ever answers Reducible: with it switched off, every
+    # Irreducible certificate keeps its patterns and witness prime
+    rng = random.Random(2024)
+    polys = [
+        IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
+        for _ in range(150)
+    ]
+    with_roots = [irreducibility_certificate(p, 10) for p in polys]
+    monkeypatch.setattr(exact, "_least_integer_root", lambda p: None)
+    without = [irreducibility_certificate(p, 10) for p in polys]
+    irreducible = 0
+    for new, old in zip(with_roots, without):
+        if old.status is CertificateStatus.IRREDUCIBLE:
+            irreducible += 1
+            assert new == old
+        else:
+            assert new.status is not CertificateStatus.IRREDUCIBLE
+    assert irreducible > 50
 
 
 def test_certificate_reads_primes_only_as_far_as_needed():

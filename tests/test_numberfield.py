@@ -90,6 +90,16 @@ def test_build_order_refuses_reducible_and_undecided():
     )
     with pytest.raises(IrreducibilityUnverified):
         build_order(companion_x4_plus_1, 10)
+    # diag(1, companion of x^9 - x - 1): degree 10 is past the float factor
+    # search, and the exact integer root 1 still splits off x - 1
+    one_plus_companion = IntMatrix([[1] + [0] * 9] + [
+        [0] + [int(j == i - 1) for j in range(8)] + [int(i < 2)] for i in range(9)
+    ])
+    assert exact.char_poly(one_plus_companion) == IntPolynomial([-1, 1]) * IntPolynomial(
+        [-1, -1] + [0] * 7 + [1]
+    )
+    with pytest.raises(NotAField, match=r"degrees \(1, 9\)"):
+        build_order(one_plus_companion)
 
 
 def test_build_order_never_runs_the_elimination_on_squarefree_char_polys(monkeypatch):

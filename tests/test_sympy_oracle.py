@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from fibernorm import exact
 from fibernorm.exact import (
     DEFAULT_PRIME_BUDGET,
     CertificateStatus,
@@ -160,6 +161,26 @@ def test_decided_certificates_agree_with_sympy(p):
         assert irreducible
     elif cert.status is CertificateStatus.REDUCIBLE:
         assert not irreducible
+
+
+with_linear_factors = st.builds(
+    lambda f, roots: f * math.prod((IntPolynomial([-r, 1]) for r in roots), start=IntPolynomial([1])),
+    st.lists(st.integers(-20, 20), max_size=4).map(_monic),
+    st.lists(st.integers(-(2**70), 2**70) | st.integers(-50, 50), max_size=3),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.one_of(small_monics, with_linear_factors))
+@hypothesis.example(IntPolynomial([-(2**1100), 1]) * IntPolynomial([1, 1]))
+@hypothesis.example(IntPolynomial([0, 3, 1]) * IntPolynomial([-2, 1]))
+def test_least_integer_root_matches_sympy_ground_roots(p):
+    found = exact._least_integer_root(p)
+    if exact._squarefree_prime(p) is None:
+        assert found is None  # nothing is claimed without a squarefree prime
+    else:
+        roots = sympy.Poly(list(reversed(p.coeffs)), X).ground_roots()
+        assert found == min(map(int, roots), default=None)
 
 
 monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_monic)
