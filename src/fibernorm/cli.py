@@ -22,10 +22,12 @@ its class name is the ``error = <Name>`` line on stdout and its
 ``exit_code`` the exit code (1 domain error or non-finite float, 2 parse
 or usage error, 3 undecided within budget).  Diagnostics go to stderr.
 
-``cone --box r`` costs one walk over the (2r+1)^(k-1) coordinate
-prefixes plus the output text: ``norm.cone_points_text`` renders the
-points directly, without point tuples or per-integer formatting.  Its
-budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k box.
+``cone --box r`` costs one walk over the (2r+1)^(k-2) prefixes of the
+first k-2 coordinates, one block of last two coordinates per distinct
+prefix dot product, and the output text: ``norm.cone_points_text``
+renders the points directly, without point tuples or per-integer
+formatting.  Its budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k
+box.
 """
 
 import decimal
@@ -74,7 +76,7 @@ flags:
 
 # Most items a --box scan or a DOT diagram may enumerate.  For --box r
 # over k coordinates the count is the whole (2r+1)^k box, not the cone
-# points: it bounds both the prefix walk ((2r+1)^(k-1) prefixes) and the
+# points: it bounds both the prefix walk ((2r+1)^(k-2) prefixes) and the
 # output (at most (2r+1)^k points), and it is known before any work.
 # For a DOT diagram it is the vertex and edge lines written.
 _OUTPUT_BUDGET = 10**6

@@ -34,6 +34,9 @@ _STALL_PRIMES = 4
 
 DEFAULT_PRIME_BUDGET = 10
 
+# IntPolynomial._squarefree_q before _squarefree_prime has run on it
+_UNKNOWN = object()
+
 
 def int_vector(values, length=None, what="vector"):
     """The entries of values as a tuple, every one an int (bool included).
@@ -57,7 +60,10 @@ class IntPolynomial:
     """Polynomial with integer coefficients, ascending degree order.
 
     ``coeffs[0]`` is the constant term.  The zero polynomial is stored
-    with an empty coefficient tuple and reports degree -1.
+    with an empty coefficient tuple and reports degree -1.  The private
+    slot _squarefree_q keeps the prime found by _squarefree_prime, so
+    that it runs once per polynomial object; __eq__ and __hash__ read
+    only the coefficients.
 
     >>> IntPolynomial([1, -3, 1]).degree
     2
@@ -65,13 +71,14 @@ class IntPolynomial:
     -1
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_squarefree_q")
 
     def __init__(self, coeffs=()):
         cleaned = list(int_vector(coeffs, what="coefficient"))
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
+        self._squarefree_q = _UNKNOWN
 
     @property
     def degree(self):
@@ -436,13 +443,17 @@ def _squarefree_prime(p):
     the algebraic closure of F_q.  p is
     monic, so a square factor over Q stays a square factor mod every q,
     and one such prime proves p squarefree over Q.  None when no prime
-    tried shows it.
+    tried shows it.  The answer is kept on p (its _squarefree_q slot), so
+    matrix_min_poly and the certificate of the same char poly share it.
     """
-    derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
-    for q in itertools.islice(_primes(), DEFAULT_PRIME_BUDGET):
-        if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
-            return q
-    return None
+    if p._squarefree_q is _UNKNOWN:
+        p._squarefree_q = None
+        derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
+        for q in itertools.islice(_primes(), DEFAULT_PRIME_BUDGET):
+            if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
+                p._squarefree_q = q
+                break
+    return p._squarefree_q
 
 
 def _least_integer_root(p):

@@ -9,9 +9,13 @@ reports state the measured values and the signed discrepancy, they never
 assert the coincidence.
 
 The cone's lattice points in a box of radius r come from one walk over
-the (2r+1)^(k-1) prefixes of the first k-1 coordinates: the admissible
-last coordinates of each prefix form one interval.  enumerate_cone_points
-turns the walk into tuples, cone_points_text straight into report text.
+the (2r+1)^(k-2) prefixes of the first k-2 coordinates, each carried with
+its dot product s against the functional.  A prefix's points depend on
+it only through s, and for each x_{k-1} the admissible last coordinates
+form one interval, so the block of last two coordinates is worked out
+once per distinct s.  enumerate_cone_points turns the blocks into
+tuples, cone_points_text straight into report text, which later prefixes
+with the same s copy.
 """
 
 from dataclasses import dataclass
@@ -102,16 +106,17 @@ def cone_membership(cone, z):
 def cone_axiom_check(cone, box_radius, scale_max):
     """Exhaustively verify the cone axioms on a lattice box.
 
-    Every interior class must stay interior under scaling by 1..scale_max
-    and under addition with every other interior class in the box.  A
+    Every interior class must stay interior under scaling by 2..scale_max
+    (scaling by 1 is the class itself, just found interior) and under
+    addition with every other interior class in the box.  A
     half-space can never fail; running the check guards the membership
     code itself, so every vector the check reasons about goes through
     cone_membership.  Returns None, or the first counterexample in scan
     order: interior points lexicographically, scalings before additions,
     pairs in combinations_with_replacement order.
 
-    Cost: one membership call per box point, n * scale_max for the n
-    interior points, and one per distinct sum of two of them; the
+    Cost: one membership call per box point, n * (scale_max - 1) for
+    the n interior points, and one per distinct sum of two of them; the
     n(n+1)/2 pairs themselves cost one integer addition and one set
     lookup each.  Sums have coordinates in [-2r, 2r], so numbering the
     points by balanced digits in base 4r + 1 gives each pair's sum the
@@ -126,7 +131,7 @@ def cone_axiom_check(cone, box_radius, scale_max):
     span = range(-box_radius, box_radius + 1)
     interior = [z for z in product(span, repeat=k) if cone_membership(cone, z) is ConeRegion.INTERIOR]
     for z in interior:
-        for c in range(1, scale_max + 1):
+        for c in range(2, scale_max + 1):
             scaled = tuple(c * x for x in z)
             if cone_membership(cone, scaled) is not ConeRegion.INTERIOR:
                 return ConeCounterexample(
@@ -156,47 +161,67 @@ def _box_span(box_radius):
     return range(-box_radius, box_radius + 1)
 
 
-def _cone_runs(cone, span, cells, start):
-    """The cone's points in the box span^k, one run per (k-1)-prefix.
+def _cone_walk(cone, span, cells, start):
+    """Split the cone's points in the box span^k by their last two coordinates.
 
     t is the cone's functional, read directly (cone.value is not
     called).  cells[i] stands for the coordinate span[i]; a prefix is
-    start followed by the cells of its first k-1 coordinates, built one
-    level at a time together with its dot product s with t[:-1].  Yields
-    (prefix, lo, hi) in lexicographic order for every prefix with points:
-    the admissible last coordinates are span[lo:hi], one interval read
-    off s and the sign of t_k.
+    start followed by the cells of its first k-2 coordinates, built one
+    level at a time together with its dot product s with t[:-2].
+    Returns (prefixes, runs): prefixes lists every (prefix, s) in
+    lexicographic order, and runs(s) lists (cell, lo, hi) in order for
+    each x_{k-1} with points, cell standing for x_{k-1} and span[lo:hi]
+    being the admissible x_k, one interval read off s + t_{k-1} x_{k-1}
+    and the sign of t_k.  A prefix's points depend on it only through s.
+    For k = 1 the one prefix is start and x_{k-1} is an empty cell.
     """
     *head, last = cone.functional.t
     box_radius, n = span[-1], len(span)
+    if head:
+        *head, before_last = head
+        penultimate = [(cell, x * before_last) for cell, x in zip(cells, span)]
+    else:
+        penultimate = [(start[:0], 0)]
     prefixes = [(start, 0)]
     for coefficient in head:
         steps = [(cell, x * coefficient) for cell, x in zip(cells, span)]
         prefixes = [(p + cell, s + d) for p, s in prefixes for cell, d in steps]
-    for prefix, s in prefixes:
-        if last > 0:  # s + x * last >= 0  <=>  x >= -(s // last)
-            lo, hi = max(0, box_radius - s // last), n
-        elif last < 0:  # x <= s // -last
-            lo, hi = 0, min(n, box_radius + 1 + s // -last)
-        else:
-            lo, hi = 0, n if s >= 0 else 0
-        if lo < hi:
-            yield prefix, lo, hi
+
+    def runs(s):
+        found = []
+        for cell, d in penultimate:
+            total = s + d
+            if last > 0:  # total + x * last >= 0  <=>  x >= -(total // last)
+                lo, hi = max(0, box_radius - total // last), n
+            elif last < 0:  # x <= total // -last
+                lo, hi = 0, min(n, box_radius + 1 + total // -last)
+            else:
+                lo, hi = 0, n if total >= 0 else 0
+            if lo < hi:
+                found.append((cell, lo, hi))
+        return found
+
+    return prefixes, runs
 
 
 def enumerate_cone_points(cone, box_radius):
     """Lattice points z of the box with z . t >= 0, lexicographic order.
 
-    For each of the (2r+1)^(k-1) prefixes of the first k-1 coordinates,
-    the admissible last coordinates form one interval.  Cost: one prefix
-    walk (one addition per prefix and level) plus one tuple per point
-    returned, not one dot product per box point.
+    The points of a (k-2)-prefix are the prefix followed by one list of
+    (x_{k-1}, x_k) tails, which depends on the prefix only through its
+    dot product s with t[:-2]: each distinct s builds its tails once.
+    Cost: one prefix walk, the tails of each distinct s, and one tuple
+    per point returned; no dot product per box point.
     """
     span = _box_span(box_radius)
     lasts = [(x,) for x in span]
+    prefixes, runs = _cone_walk(cone, span, lasts, ())
+    tails = {}  # s -> the (x_{k-1}, x_k) of the points of a prefix with sum s
     points = []
-    for prefix, lo, hi in _cone_runs(cone, span, lasts, ()):
-        points += map(prefix.__add__, lasts[lo:hi])
+    for prefix, s in prefixes:
+        if s not in tails:
+            tails[s] = [cell + y for cell, lo, hi in runs(s) for y in lasts[lo:hi]]
+        points += map(prefix.__add__, tails[s])
     return points
 
 
@@ -204,10 +229,15 @@ def cone_points_text(cone, box_radius):
     """The cone points of the box as report text, without building them.
 
     Equal to the report rendering (cli._format_value) of
-    enumerate_cone_points(cone, box_radius), "[[z1,...,zk],...]", but
-    each prefix's run of points is one str.join over the precomputed
-    texts of the last coordinates.  Cost: the same prefix walk plus the
-    output text; no point tuple and no per-integer formatting.
+    enumerate_cone_points(cone, box_radius), "[[z1,...,zk],...]".  The
+    first (k-2)-prefix with a given dot product s renders its block of
+    points with one str.join per x_{k-1}, over the precomputed texts of
+    the last coordinates.  Every later prefix with the same s copies that
+    block with one join and one str.replace of the first prefix's text by
+    its own: "[" opens every point and nothing else, so a prefix text
+    matches only at the start of a point.  Cost: the prefix walk, one
+    block per distinct s, one replace per other prefix, and the output
+    text; no point tuple and no per-integer formatting.
 
     >>> from fibernorm.numberfield import TraceFunctional
     >>> cone_points_text(ConeDescription(TraceFunctional((2, 3))), 1)
@@ -216,11 +246,21 @@ def cone_points_text(cone, box_radius):
     span = _box_span(box_radius)
     lasts = [str(x) for x in span]
     cells = [x + "," for x in lasts]
-    runs = [
-        prefix + ("]," + prefix).join(lasts[lo:hi]) + "]"
-        for prefix, lo, hi in _cone_runs(cone, span, cells, "[")
-    ]
-    return "[" + ",".join(runs) + "]"
+    prefixes, runs = _cone_walk(cone, span, cells, "[")
+    out = []
+    blocks = {}  # s -> the first prefix with sum s and the range of its rows in out
+    for prefix, s in prefixes:
+        if s in blocks:
+            first, a, b = blocks[s]
+            if a < b:
+                out.append(",".join(out[a:b]).replace(first, prefix))
+            continue
+        a = len(out)
+        for cell, lo, hi in runs(s):
+            row = prefix + cell
+            out.append(row + ("]," + row).join(lasts[lo:hi]) + "]")
+        blocks[s] = prefix, a, len(out)
+    return "[" + ",".join(out) + "]"
 
 
 def gromov_from_thurston(n):

@@ -190,12 +190,33 @@ def test_enumerate_cone_points_matches_box_scan():
         bits = rng.choice((2, 8, 200))
         k = rng.randint(1, 4)
         functionals.append(tuple(rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(k)))
-    for t in functionals:
+    cases = [(t, r) for t in functionals for r in range(4 if len(t) < 4 else 3)]  # r = 0 included
+    # Prefixes of the first k-2 coordinates with equal dot products share
+    # one block of last two coordinates.
+    cases += [
+        ((1, 1, 1, 1, 1), 2),  # heavy reuse: few distinct prefix sums
+        ((1, 1, 1, 1, 1, 1), 1),
+        ((6, 2, 12, 44, 168, 597), 2),  # the field corpus' k = 6 cone
+        ((1, 5, 25, 125, -625), 2),  # no reuse: t_i = (2r+1)^i, every sum distinct
+        ((1, 7, -49), 3),
+        ((1, 2, 0, 3), 2),  # t_{k-1} = 0
+        ((2, 0, 5), 2),
+        ((1, -1, 2, 0), 2),  # t_k = 0, prefix sums of both signs
+        ((-3, 3, 1, 0), 2),
+        ((-100, 50, 1, -1), 2),  # prefix sums far below zero: empty runs, slice end < 0
+        ((100, -50, 1, -1), 2),
+        ((0, 0, 3, -2), 10),  # every prefix shares s = 0; "[1," and "[10," both occur
+        ((2, -2, 3, 1), 10),
+        ((3, 3, -7), 11),
+        ((-1, 2, 0, 0), 10),
+    ]
+    for k in (1, 2, 3):  # k = 1 and 2 have a single (k-2)-prefix
+        cases += [(t, r) for t in product((-2, 0, 3), repeat=k) for r in (0, 1, 12)]
+    for t, r in cases:
         cone = _cone(t)
-        for r in range(4 if len(t) < 4 else 3):  # r = 0 included
-            points = enumerate_cone_points(cone, r)
-            assert points == _box_scan(cone, r), (t, r)
-            assert cone_points_text(cone, r) == _format_value(points), (t, r)
+        points = enumerate_cone_points(cone, r)
+        assert points == _box_scan(cone, r), (t, r)
+        assert cone_points_text(cone, r) == _format_value(points), (t, r)
 
 
 def test_enumerate_cone_points_sorted_and_closed_in_box():

@@ -127,6 +127,26 @@ def test_build_order_computes_the_char_poly_once(monkeypatch):
     assert calls == [TRIB]
 
 
+def test_build_order_runs_the_squarefree_gcds_once(monkeypatch):
+    # x^2 - 7 has a repeated root mod 2 and is squarefree mod 3; the
+    # certificate's integer-root test reuses the prime matrix_min_poly found
+    calls = []
+    original = exact._fp_gcd
+
+    def counted(a, b, q):
+        calls.append((list(a), list(b), q))
+        return original(a, b, q)
+
+    monkeypatch.setattr(exact, "_fp_gcd", counted)
+    order = build_order(IntMatrix([[0, 7], [1, 0]]))
+    assert order.min_poly == IntPolynomial([-7, 0, 1])
+    squarefree_gcds = [([1, 0, 1], [], 2), ([2, 0, 1], [0, 2], 3)]
+    assert [call for call in calls if call in squarefree_gcds] == squarefree_gcds
+    assert exact._squarefree_prime(order.min_poly) == 3
+    assert exact._squarefree_prime(IntPolynomial([-7, 0, 1])) == 3  # a new object works again
+    assert len([call for call in calls if call in squarefree_gcds]) == 4
+
+
 def test_build_order_error_precedence():
     # a degenerate matrix is refused before the prime budget is read
     with pytest.raises(DegenerateMonodromy):
