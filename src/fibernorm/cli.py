@@ -30,7 +30,6 @@ formatting.  Its budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k
 box.
 """
 
-import decimal
 import math
 import re
 import sys
@@ -192,6 +191,8 @@ def _format_value(value):
         try:
             return str(value)
         except ValueError:  # past the interpreter's digit limit; Decimal has none
+            import decimal  # only this branch needs it; other runs skip the import
+
             return str(decimal.Decimal(value))
     if isinstance(value, (tuple, list)):
         return "[" + ",".join([_format_value(v) for v in value]) + "]"

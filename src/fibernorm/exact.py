@@ -1,9 +1,10 @@
 """Exact integer polynomials, square integer matrices, and certificates.
 
 Everything in this module is arbitrary precision and uses only exact
-arithmetic (the characteristic polynomial comes from Berkowitz's
-recursion, which does no division at all), so results are bit-for-bit
-reproducible.  The one place floats enter is the search for a
+arithmetic (the characteristic polynomial comes from one solve modulo a
+product of word primes that a proved coefficient bound makes exact, or
+from Berkowitz's recursion, which does no division at all), so results
+are bit-for-bit reproducible.  The one place floats enter is the search for a
 rational factor of degree 2 or more (integer roots are found exactly,
 by Hensel lifting): numeric roots propose candidate factors, and only
 an exact division accepts one.  All values are immutable once built.
@@ -19,7 +20,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import BadReductionPrime, DimensionMismatch, NoConvergence
@@ -33,6 +34,22 @@ _FACTOR_SEARCH_MAX_DEGREE = 8
 _STALL_PRIMES = 4
 
 DEFAULT_PRIME_BUDGET = 10
+
+# char_poly's choice between its two exact paths, set from timings of both
+# on seeded random matrices: Berkowitz's recursion is the faster at and
+# below _BERKOWITZ_MAX_K on 0-2 matrices, and, by up to 3.5x, once the
+# coefficient bound passes _KRYLOV_MAX_ROW_BITS bits per row (dense entries
+# of 32 bits and wider), where the solve's k^3/3 products of numbers the
+# size of Q dominate.
+_BERKOWITZ_MAX_K = 8
+_KRYLOV_MAX_ROW_BITS = 24
+
+# Miller-Rabin with these bases decides primality below _MR_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461  # the least composite passing all twelve
+
+# The largest primes below 2^62, descending, each found when first needed.
+_WORD_PRIMES = []
 
 # IntPolynomial._squarefree_q before _squarefree_prime has run on it
 _UNKNOWN = object()
@@ -245,10 +262,112 @@ class IntMatrix:
 def char_poly(A):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Berkowitz's division-free recursion (Berkowitz 1984): bordering the
-    leading r x r block A_r by the row R, the column C and the corner a
-    multiplies its char poly by the lower-triangular Toeplitz matrix with
-    first column (1, -a, -R C, -R A_r C, ..., -R A_r^{r-1} C).
+    Past _BERKOWITZ_MAX_K it comes from one linear solve modulo Q on the
+    Krylov vectors A^j e_1 (_char_poly_krylov).  At and below it, and
+    whenever that solve declines (e_1 not cyclic for A, which includes
+    every derogatory A; no unit pivot mod Q; or a coefficient bound past
+    _KRYLOV_MAX_ROW_BITS bits per row), from Berkowitz's division-free
+    recursion (_berkowitz).  Both are exact and give the same polynomial.
+    """
+    if A.k > _BERKOWITZ_MAX_K:
+        p = _char_poly_krylov(A)
+        if p is not None:
+            return p
+    return _berkowitz(A)
+
+
+def _coefficient_bound(A):
+    """B with |c| <= B for every coefficient c of char_poly(A).
+
+    The coefficient of x^{k-i} is, up to sign, the sum of the i x i
+    principal minors; Hadamard bounds each by the product of its rows'
+    (or columns') 2-norms, and those by the whole rows' (columns').  So
+    the i-th elementary symmetric function e_i of the rounded-up row
+    norms bounds it, and so does that of the column norms: B is the
+    smaller of the two maxima over i.
+    """
+
+    def max_elementary(vectors):
+        e = [1]  # e_0, ..., e_m of the norms read so far
+        for vector in vectors:
+            s = sum(map(mul, vector, vector))
+            norm = isqrt(s)
+            norm += norm * norm < s
+            e = [a + norm * b for a, b in zip(e + [0], [0] + e)]
+        return max(e)
+
+    return min(max_elementary(A.rows), max_elementary(zip(*A.rows)))
+
+
+def _modulus_above(bound):
+    """A product Q > bound of the largest primes below 2^62, in order."""
+    Q = 1
+    for i in itertools.count():
+        if Q > bound:
+            return Q
+        if i == len(_WORD_PRIMES):
+            n = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else 2**62 - 1
+            while not is_prime(n):
+                n -= 2
+            _WORD_PRIMES.append(n)
+        Q *= _WORD_PRIMES[i]
+
+
+def _char_poly_krylov(A):
+    """char_poly(A) from the Krylov vectors v_j = A^j e_1, or None.
+
+    v_0, ..., v_k are exact (k^3 products).  When v_0, ..., v_{k-1} are
+    independent, p(A) e_1 = 0 says p(x) = x^k - sum_j c_j x^j for the
+    unique solution c of sum_j c_j v_j = v_k.  That system is solved
+    modulo Q, a product of word primes above twice the coefficient bound
+    B, pivoting only on units mod Q.  Unit pivots make the Krylov matrix
+    invertible mod every prime of Q, so its vectors are independent over
+    the rationals and the solution mod Q is c mod Q; as |c_j| <= B < Q/2,
+    the symmetric residues are c exactly.  None when some column has no
+    unit left to pivot on, or when B passes _KRYLOV_MAX_ROW_BITS bits per
+    row.
+    """
+    rows = A.rows
+    k = len(rows)
+    bound = _coefficient_bound(A)
+    if bound.bit_length() > _KRYLOV_MAX_ROW_BITS * k:
+        return None
+    Q = _modulus_above(2 * bound)
+    v = [row[0] for row in rows]  # v_1; v_0 = e_1
+    krylov = [[int(i == 0) for i in range(k)], v]
+    for _ in range(k - 1):
+        v = [sum(map(mul, row, v)) for row in rows]
+        krylov.append(v)
+    # Entries are reduced mod Q only where read: a pivot row when it is
+    # scaled, a multiplier f before use.  Each update in between adds one
+    # term below Q^2, so an entry grows by at most k Q^2.
+    system = [list(equation) for equation in zip(*krylov)]
+    for j in range(k):
+        r = next((r for r in range(j, k) if gcd(system[r][j], Q) == 1), None)
+        if r is None:
+            return None
+        pivot = system[r]
+        system[r] = system[j]
+        inverse = pow(pivot[j], -1, Q)
+        pivot = system[j] = [x * inverse % Q for x in pivot[j + 1 :]]
+        for row in system[j + 1 :]:
+            f = row[j] % Q
+            if f:
+                row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], pivot)]
+    c = []  # c_{k-1}, ..., c_0: back substitution; system[j] is row j right of the unit
+    for j in reversed(range(k)):
+        u = system[j]
+        c.append((u[-1] - sum(map(mul, u, reversed(c)))) % Q)
+    return IntPolynomial([Q - x if x > Q // 2 else -x for x in c[::-1]] + [1])
+
+
+def _berkowitz(A):
+    """char_poly(A) by Berkowitz's division-free recursion (Berkowitz 1984).
+
+    Bordering the leading r x r block A_r by the row R, the column C and
+    the corner a multiplies its char poly by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -R C, -R A_r C, ...,
+    -R A_r^{r-1} C).
     """
     rows = A.rows
     cs = [1, -rows[0][0]]  # descending: coefficient of x^r, x^{r-1}, ...
@@ -340,17 +459,34 @@ def newton_power_sums(p, J):
 
 
 def is_prime(n):
+    """Whether n is prime, for n below _MR_LIMIT (about 3.2e23).
+
+    Trial division by the Miller-Rabin bases, then one strong-pseudoprime
+    test per base, which no composite below _MR_LIMIT passes for all of
+    them.  Larger n raise ValueError rather than get an unproved answer.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < _MR_BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
     return True
 
 

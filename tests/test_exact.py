@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the code under test:
 the characteristic polynomial is cross-checked against a cofactor
-determinant on plain coefficient lists, and the mod-p factor degrees
+determinant on plain coefficient lists (and, past the Krylov cutover,
+against the kept Berkowitz recursion), and the mod-p factor degrees
 against exhaustive trial division.
 """
 
@@ -224,6 +225,125 @@ def test_cayley_hamilton_exact():
         matrix = _random_matrix(rng, k, -3, 3)
         zero = IntMatrix([[0] * k for _ in range(k)])
         assert _eval_at_matrix(char_poly(matrix), matrix) == zero
+
+
+def _cycle_with_loop(k):
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[(i + 1) % k][i] = 1
+    rows[0][0] = 1
+    return rows
+
+
+def _companion(coeffs):
+    k = len(coeffs)
+    return [[int(j == i - 1) for j in range(k - 1)] + [c] for i, c in enumerate(coeffs)]
+
+
+def _blocks(top_left, top_right, bottom_right):
+    """[[top_left, top_right], [0, bottom_right]]."""
+    zeros = [0] * len(top_left)
+    return [a + b for a, b in zip(top_left, top_right)] + [zeros + d for d in bottom_right]
+
+
+def _krylov_cases():
+    """Matrices with k = 13..64, and whether the Krylov solve answers."""
+    rng = random.Random(4813)
+
+    def rand(k, low, high):
+        return [[rng.randint(low, high) for _ in range(k)] for _ in range(k)]
+
+    b12 = rand(12, 0, 2)
+    b7 = rand(7, -2, 2)
+    cases = [(f"random02-k{k}", rand(k, 0, 2), True) for k in (13, 16, 24, 33, 48, 64)]
+    cases += [(f"negative-k{k}", rand(k, -3, 3), True) for k in (13, 20)]
+    cases += [(f"companion200-k{k}", _companion([rng.randint(-2**200, 2**200) for _ in range(k)]), True)
+              for k in (13, 20)]
+    cases += [(f"cycle-k{k}", _cycle_with_loop(k), True) for k in (16, 24)]
+    cases += [
+        ("permutation-k17", [[int(j == (i - 1) % 17) for j in range(17)] for i in range(17)], True),
+        # 2^62 - 57 divides every Q, so column 1 skips row 1 for row 2
+        ("word-prime-entry-k13", [[2**62 - 57 if (i, j) == (1, 0) else int(i == 2) if j == 0 else x
+                                   for j, x in enumerate(row)] for i, row in enumerate(rand(13, 0, 2))], True),
+        # past the bits-per-row limit: Berkowitz runs, though e_1 is cyclic
+        ("dense200-k13", rand(13, -2**200, 2**200), False),
+        ("zero-k13", [[0] * 13 for _ in range(13)], False),
+        ("twice-identity-k16", [[2 * (i == j) for j in range(16)] for i in range(16)], False),
+        ("diag-B-B-k24", _blocks(b12, [[0] * 12] * 12, b12), False),
+        ("block-triangular-k14", _blocks(b7, rand(7, -2, 2), rand(7, -2, 2)), False),
+    ]
+    return [pytest.param(rows, krylov, id=name) for name, rows, krylov in cases]
+
+
+@pytest.mark.parametrize("rows, krylov", _krylov_cases())
+def test_krylov_char_poly_matches_berkowitz_and_falls_back_when_not_cyclic(monkeypatch, rows, krylov):
+    matrix = IntMatrix(rows)
+    expected = exact._berkowitz(matrix)
+    fell_back = []
+
+    def recorded(A):
+        fell_back.append(A)
+        return expected
+
+    monkeypatch.setattr(exact, "_berkowitz", recorded)
+    assert char_poly(matrix) == expected
+    assert fell_back == ([] if krylov else [matrix])
+    assert max(map(abs, expected.coeffs)) <= exact._coefficient_bound(matrix)
+
+
+def test_krylov_solve_is_exact_past_the_bits_per_row_limit(monkeypatch):
+    # char_poly sends these to Berkowitz for speed, not correctness
+    monkeypatch.setattr(exact, "_KRYLOV_MAX_ROW_BITS", 10**9)
+    rng = random.Random(200)
+    for k in (13, 16):
+        matrix = _random_matrix(rng, k, -2**200, 2**200)
+        assert exact._char_poly_krylov(matrix) == exact._berkowitz(matrix)
+
+
+def test_krylov_path_starts_above_the_cutover(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact, "_char_poly_krylov", lambda A: calls.append(A.k))
+    for k in (exact._BERKOWITZ_MAX_K, exact._BERKOWITZ_MAX_K + 1):
+        matrix = IntMatrix(_cycle_with_loop(k))
+        assert char_poly(matrix) == IntPolynomial([-1] + [0] * (k - 2) + [-1, 1])
+    assert calls == [exact._BERKOWITZ_MAX_K + 1]
+
+
+def test_coefficient_bound_is_tight_for_companions_by_their_columns():
+    # Row norms are the huge coefficients, so rows alone would give about
+    # k * bits bits; the unit columns give about bits + k.
+    rng = random.Random(62)
+    for k in (13, 24, 40):
+        for bits in (1, 100, 300):
+            coeffs = [rng.randint(-2**bits, 2**bits) for _ in range(k)]
+            top = max(1, max(map(abs, coeffs)))
+            bound = exact._coefficient_bound(IntMatrix(_companion(coeffs)))
+            assert top <= bound and bound.bit_length() <= bits + k + 4
+            Q = exact._modulus_above(2 * bound)
+            assert 2 * top < 2 * bound < Q < 2 * bound * 2**62
+    # five blocks [[1, 1], [-1, 1]]: every row and column has norm sqrt(2),
+    # and rounded down the bound would be C(10, 5) = 252, below the 720 of
+    # (x^2 - 2x + 2)^5
+    rotations = IntMatrix([[(1 if j >= i else -1) if j // 2 == i // 2 else 0 for j in range(10)]
+                           for i in range(10)])
+    assert max(map(abs, char_poly(rotations).coeffs)) == 720
+    assert exact._coefficient_bound(rotations) >= 720
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    assert [n for n in range(-5, 5000) if exact.is_prime(n)] == [
+        n for n in range(-5, 5000) if _trial_division_is_prime(n)
+    ]
+    assert exact.is_prime(2**61 - 1) and exact.is_prime(2**62 - 57)
+    # a strong pseudoprime to every base 2..31: base 37 exposes it
+    assert not exact.is_prime(3825123056546413051)
+    assert not exact.is_prime(2047) and not exact.is_prime(3215031751)
+    with pytest.raises(ValueError):
+        exact.is_prime(exact._MR_LIMIT)
 
 
 # --- minimal polynomial ---------------------------------------------------------

@@ -125,6 +125,12 @@ strictly_triangular = st.integers(1, 12).flatmap(
 @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.one_of(wide_matrices, wide_companions, strictly_triangular))
 @hypothesis.example([[pow(3, 12 * i + j, WIDE) - WIDE // 2 for j in range(12)] for i in range(12)])
+# past exact._BERKOWITZ_MAX_K: the Krylov solve on a dense, a sparse and a
+# wide input, then a derogatory one that falls back to Berkowitz
+@hypothesis.example([[pow(3, 13 * i + j, 1009) % 5 - 2 for j in range(13)] for i in range(13)])
+@hypothesis.example([[int(j == (i - 1) % 14 or i == j == 0) for j in range(14)] for i in range(14)])
+@hypothesis.example(_companion([pow(7, 60 + i, WIDE) - WIDE // 2 for i in range(15)]))
+@hypothesis.example([[2 * (i == j) for j in range(16)] for i in range(16)])
 def test_char_poly_matches_bareiss_determinants(rows):
     """det(nI - A) by sympy's fraction-free elimination, at the k + 1 points
     n = 0..k that fix a monic polynomial of degree k.  (sympy's charpoly is
@@ -135,6 +141,19 @@ def test_char_poly_matches_bareiss_determinants(rows):
     m = sympy.Matrix(rows)
     for n in range(k + 1):
         assert p(n) == (n * sympy.eye(k) - m).det(method="bareiss"), (rows, n)
+
+
+def test_is_prime_matches_sympy_below_two_to_the_62():
+    window = range(2**62 - 4000, 2**62)
+    assert [n for n in window if exact.is_prime(n)] == [n for n in window if sympy.isprime(n)]
+
+
+def test_the_krylov_modulus_multiplies_the_largest_primes_below_two_to_the_62():
+    Q = exact._modulus_above(2**400)
+    primes = [sympy.prevprime(2**62)]
+    while math.prod(primes) <= 2**400:
+        primes.append(sympy.prevprime(primes[-1]))
+    assert Q == math.prod(primes)
 
 
 def _monic(coeffs):
