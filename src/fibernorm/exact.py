@@ -2,12 +2,12 @@
 
 Everything in this module is arbitrary precision and uses only exact
 arithmetic (the characteristic polynomial comes from one solve modulo a
-product of word primes that a proved coefficient bound makes exact, or
-from Berkowitz's recursion, which does no division at all), so results
-are bit-for-bit reproducible.  The one place floats enter is the search for a
-rational factor of degree 2 or more (integer roots are found exactly,
-by Hensel lifting): numeric roots propose candidate factors, and only
-an exact division accepts one.  All values are immutable once built.
+power of the prime 2^61 - 1 that a proved coefficient bound makes exact,
+or from Berkowitz's recursion, which does no division at all), so results
+are bit-for-bit reproducible.  Floats enter only the search for a rational
+factor of degree 2 or more (integer roots are found exactly, by Hensel
+lifting): numeric roots propose candidate factors, and only an exact
+division accepts one.  All values are immutable once built.
 
 ``int_vector`` is the one rule for integer vectors across the package:
 matrix rows, polynomial coefficients, classes, field elements,
@@ -44,12 +44,7 @@ DEFAULT_PRIME_BUDGET = 10
 _BERKOWITZ_MAX_K = 8
 _KRYLOV_MAX_ROW_BITS = 24
 
-# Miller-Rabin with these bases decides primality below _MR_LIMIT.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318665857834031151167461  # the least composite passing all twelve
-
-# The largest primes below 2^62, descending, each found when first needed.
-_WORD_PRIMES = []
+_MERSENNE = 2**61 - 1  # a prime: the Krylov solve runs modulo a power of it
 
 # IntPolynomial._squarefree_q before _squarefree_prime has run on it
 _UNKNOWN = object()
@@ -299,40 +294,28 @@ def _coefficient_bound(A):
     return min(max_elementary(A.rows), max_elementary(zip(*A.rows)))
 
 
-def _modulus_above(bound):
-    """A product Q > bound of the largest primes below 2^62, in order."""
-    Q = 1
-    for i in itertools.count():
-        if Q > bound:
-            return Q
-        if i == len(_WORD_PRIMES):
-            n = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else 2**62 - 1
-            while not is_prime(n):
-                n -= 2
-            _WORD_PRIMES.append(n)
-        Q *= _WORD_PRIMES[i]
-
-
 def _char_poly_krylov(A):
     """char_poly(A) from the Krylov vectors v_j = A^j e_1, or None.
 
     v_0, ..., v_k are exact (k^3 products).  When v_0, ..., v_{k-1} are
     independent, p(A) e_1 = 0 says p(x) = x^k - sum_j c_j x^j for the
     unique solution c of sum_j c_j v_j = v_k.  That system is solved
-    modulo Q, a product of word primes above twice the coefficient bound
-    B, pivoting only on units mod Q.  Unit pivots make the Krylov matrix
-    invertible mod every prime of Q, so its vectors are independent over
-    the rationals and the solution mod Q is c mod Q; as |c_j| <= B < Q/2,
-    the symmetric residues are c exactly.  None when some column has no
-    unit left to pivot on, or when B passes _KRYLOV_MAX_ROW_BITS bits per
-    row.
+    modulo Q, the least power of the prime M = _MERSENNE above twice the
+    coefficient bound B, pivoting only on units mod Q: the entries M does
+    not divide.  Unit pivots make the Krylov matrix invertible mod M, so
+    its vectors are independent over the rationals and the solution mod Q
+    is c mod Q; as |c_j| <= B < Q/2, the symmetric residues are c
+    exactly.  None when some column has no unit left to pivot on, or when
+    B passes _KRYLOV_MAX_ROW_BITS bits per row.
     """
     rows = A.rows
     k = len(rows)
     bound = _coefficient_bound(A)
     if bound.bit_length() > _KRYLOV_MAX_ROW_BITS * k:
         return None
-    Q = _modulus_above(2 * bound)
+    Q = _MERSENNE
+    while Q <= 2 * bound:
+        Q *= _MERSENNE
     v = [row[0] for row in rows]  # v_1; v_0 = e_1
     krylov = [[int(i == 0) for i in range(k)], v]
     for _ in range(k - 1):
@@ -343,7 +326,7 @@ def _char_poly_krylov(A):
     # term below Q^2, so an entry grows by at most k Q^2.
     system = [list(equation) for equation in zip(*krylov)]
     for j in range(k):
-        r = next((r for r in range(j, k) if gcd(system[r][j], Q) == 1), None)
+        r = next((r for r in range(j, k) if system[r][j] % _MERSENNE), None)
         if r is None:
             return None
         pivot = system[r]
@@ -442,51 +425,30 @@ def newton_power_sums(p, J):
     k = p.degree
     if k < 1:
         raise ValueError("polynomial must have degree at least 1")
-    # e[i] = i-th elementary symmetric function of the roots.
-    e = [0] * (k + 1)
-    for i in range(1, k + 1):
-        e[i] = (-1) ** i * p.coeffs[k - i]
+    # p_j = -([j <= k] j a_{k-j} + sum_{i=1}^{min(j-1,k)} a_{k-i} p_{j-i})
+    a = p.coeffs
     sums = [k]
     for j in range(1, J + 1):
-        s = 0
-        for i in range(1, min(j, k) + 1):
-            if i == j:
-                s += (-1) ** (j - 1) * j * e[j]
-            else:
-                s += (-1) ** (i - 1) * e[i] * sums[j - i]
-        sums.append(s)
+        s = sum(a[k - i] * sums[j - i] for i in range(1, min(j - 1, k) + 1))
+        if j <= k:
+            s += j * a[k - j]
+        sums.append(-s)
     return tuple(sums)
 
 
 def is_prime(n):
-    """Whether n is prime, for n below _MR_LIMIT (about 3.2e23).
-
-    Trial division by the Miller-Rabin bases, then one strong-pseudoprime
-    test per base, which no composite below _MR_LIMIT passes for all of
-    them.  Larger n raise ValueError rather than get an unproved answer.
-    """
+    """Whether n is prime, by trial division: about sqrt(n)/2 steps for a prime n."""
     if n < 2:
         return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n < _MR_BASES[-1] ** 2:
+    if n < 4:
         return True
-    if n >= _MR_LIMIT:
-        raise ValueError(f"primality is decided only below {_MR_LIMIT}")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x != 1 and x != n - 1:
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
     return True
 
 
@@ -743,8 +705,11 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     factors of those degrees, and exact division decides: Reducible is
     returned only with a factor that divides p.  The search runs once:
     when _STALL_PRIMES primes in a row narrow nothing, or at the last
-    prime.  Anything else is Undecided, as is x^4 + 1, irreducible but
-    with degree 2 open at every prime.
+    prime.  If the root test ran (some prime showed p squarefree) and only
+    degrees 1 and k - 1 are left open, p is Irreducible with no witness
+    prime: it has no integer root, so no factor of degree 1 or k - 1.
+    Anything else is Undecided, as is x^4 + 1, irreducible but with
+    degree 2 open at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -786,4 +751,8 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                     patterns=patterns,
                     factor=factor,
                 )
+    if _squarefree_prime(p) is not None and possible <= {1, k - 1}:
+        return IrreducibilityCertificate(
+            CertificateStatus.IRREDUCIBLE, factor_degrees=(k,), patterns=patterns
+        )
     return IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)

@@ -262,8 +262,9 @@ def _krylov_cases():
     cases += [(f"cycle-k{k}", _cycle_with_loop(k), True) for k in (16, 24)]
     cases += [
         ("permutation-k17", [[int(j == (i - 1) % 17) for j in range(17)] for i in range(17)], True),
-        # 2^62 - 57 divides every Q, so column 1 skips row 1 for row 2
-        ("word-prime-entry-k13", [[2**62 - 57 if (i, j) == (1, 0) else int(i == 2) if j == 0 else x
+        # 5 (2^61 - 1) is no unit mod any power of 2^61 - 1, so column 1
+        # skips row 1 for row 2
+        ("word-prime-entry-k13", [[5 * exact._MERSENNE if (i, j) == (1, 0) else int(i == 2) if j == 0 else x
                                    for j, x in enumerate(row)] for i, row in enumerate(rand(13, 0, 2))], True),
         # past the bits-per-row limit: Berkowitz runs, though e_1 is cyclic
         ("dense200-k13", rand(13, -2**200, 2**200), False),
@@ -309,18 +310,36 @@ def test_krylov_path_starts_above_the_cutover(monkeypatch):
     assert calls == [exact._BERKOWITZ_MAX_K + 1]
 
 
-def test_coefficient_bound_is_tight_for_companions_by_their_columns():
+def _krylov_moduli(monkeypatch, matrix):
+    """The moduli of the inverses taken by the Krylov solve on matrix."""
+    moduli = set()
+
+    def recording_pow(base, exponent, modulus):
+        moduli.add(modulus)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(exact, "pow", recording_pow, raising=False)
+    assert exact._char_poly_krylov(matrix) is not None
+    monkeypatch.delattr(exact, "pow")
+    return moduli
+
+
+def test_coefficient_bound_is_tight_for_companions_by_their_columns(monkeypatch):
     # Row norms are the huge coefficients, so rows alone would give about
     # k * bits bits; the unit columns give about bits + k.
     rng = random.Random(62)
+    M = exact._MERSENNE
     for k in (13, 24, 40):
         for bits in (1, 100, 300):
             coeffs = [rng.randint(-2**bits, 2**bits) for _ in range(k)]
             top = max(1, max(map(abs, coeffs)))
-            bound = exact._coefficient_bound(IntMatrix(_companion(coeffs)))
+            matrix = IntMatrix(_companion(coeffs))
+            bound = exact._coefficient_bound(matrix)
             assert top <= bound and bound.bit_length() <= bits + k + 4
-            Q = exact._modulus_above(2 * bound)
-            assert 2 * top < 2 * bound < Q < 2 * bound * 2**62
+            # Q is the one power of M in (2B, 2B M]: M^e has 61e bits
+            (Q,) = _krylov_moduli(monkeypatch, matrix)
+            assert 2 * top <= 2 * bound < Q <= 2 * bound * M
+            assert Q == M ** (Q.bit_length() // 61)
     # five blocks [[1, 1], [-1, 1]]: every row and column has norm sqrt(2),
     # and rounded down the bound would be C(10, 5) = 252, below the 720 of
     # (x^2 - 2x + 2)^5
@@ -334,16 +353,27 @@ def _trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _mersenne_is_prime(p):
+    """Whether 2^p - 1 is prime, for an odd prime p (Lucas-Lehmer)."""
+    m, s = 2**p - 1, 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     assert [n for n in range(-5, 5000) if exact.is_prime(n)] == [
         n for n in range(-5, 5000) if _trial_division_is_prime(n)
     ]
-    assert exact.is_prime(2**61 - 1) and exact.is_prime(2**62 - 57)
-    # a strong pseudoprime to every base 2..31: base 37 exposes it
+    # the Krylov modulus is a power of a prime; 2^11 - 1 = 23 * 89 checks the check
+    assert exact._MERSENNE == 2**61 - 1 and _mersenne_is_prime(61)
+    assert not _mersenne_is_prime(11) and _mersenne_is_prime(31)
+    # strong pseudoprimes (the first to every base 2..31, the others to base
+    # 2): trial division meets a small factor of each
     assert not exact.is_prime(3825123056546413051)
     assert not exact.is_prime(2047) and not exact.is_prime(3215031751)
-    with pytest.raises(ValueError):
-        exact.is_prime(exact._MR_LIMIT)
+    # past 3.2e23, where primality was once refused, a composite is answered
+    assert not exact.is_prime(101 * (2**89 - 1))
 
 
 # --- minimal polynomial ---------------------------------------------------------

@@ -8,6 +8,7 @@ matrix, which shares no code path with the elimination under test.
 """
 
 import math
+import random
 
 import pytest
 
@@ -143,17 +144,25 @@ def test_char_poly_matches_bareiss_determinants(rows):
         assert p(n) == (n * sympy.eye(k) - m).det(method="bareiss"), (rows, n)
 
 
-def test_is_prime_matches_sympy_below_two_to_the_62():
-    window = range(2**62 - 4000, 2**62)
+def test_is_prime_matches_sympy_near_ten_to_the_7():
+    window = range(10**7 - 2000, 10**7 + 2000)
     assert [n for n in window if exact.is_prime(n)] == [n for n in window if sympy.isprime(n)]
 
 
-def test_the_krylov_modulus_multiplies_the_largest_primes_below_two_to_the_62():
-    Q = exact._modulus_above(2**400)
-    primes = [sympy.prevprime(2**62)]
-    while math.prod(primes) <= 2**400:
-        primes.append(sympy.prevprime(primes[-1]))
-    assert Q == math.prod(primes)
+def test_the_krylov_modulus_is_the_least_power_of_the_mersenne_prime_above_twice_the_bound(
+    monkeypatch,
+):
+    M = exact._MERSENNE
+    assert sympy.isprime(M)
+    moduli = set()  # of the inverses the solve takes
+    monkeypatch.setattr(exact, "pow", lambda b, e, m: moduli.add(m) or pow(b, e, m), raising=False)
+    rng = random.Random(61)
+    for k, bits in ((12, 1), (12, 100), (20, 200), (30, 400)):
+        matrix = IntMatrix(_companion([rng.randint(-2**bits, 2**bits) for _ in range(k)]))
+        moduli.clear()
+        assert exact._char_poly_krylov(matrix) is not None
+        e, _ = sympy.integer_log(2 * exact._coefficient_bound(matrix), M)  # M^e <= 2B < M^(e+1)
+        assert moduli == {M ** (e + 1)}
 
 
 def _monic(coeffs):
@@ -180,6 +189,26 @@ def test_decided_certificates_agree_with_sympy(p):
         assert irreducible
     elif cert.status is CertificateStatus.REDUCIBLE:
         assert not irreducible
+
+
+def test_certificates_closed_by_the_root_test_are_irreducible():
+    # Irreducible though the patterns leave degrees open: the root test
+    # closed 1 and k - 1, and nothing else may be left
+    rng = random.Random(2261)
+    closed = 0
+    for budget in (1, 2):
+        for _ in range(200):
+            p = _monic([rng.randint(-20, 20) for _ in range(rng.randint(2, 8))])
+            cert = irreducibility_certificate(p, budget)
+            open_degrees = set(range(1, p.degree))
+            for _, degrees in cert.patterns:
+                open_degrees &= exact._proper_subset_sums(degrees, p.degree)
+            if cert.status is CertificateStatus.IRREDUCIBLE and open_degrees:
+                closed += 1
+                assert open_degrees <= {1, p.degree - 1} and cert.witness_prime is None
+                assert exact._least_integer_root(p) is None
+                assert sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible, p
+    assert closed > 50
 
 
 with_linear_factors = st.builds(
