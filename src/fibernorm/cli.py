@@ -61,7 +61,7 @@ subcommands:
 flags:
   --input <path>        input document (required)
   --tol <float>         numeric tolerance            (default 1e-12)
-  --max-iter <int>      power iteration budget       (default 100000)
+  --max-iter <int>      inverse iteration solves     (default 100000)
   --prime-budget <int>  reduction primes to try      (default 10)
   --element [a0,...]    field element coordinates
   --class [z1,...]      homology class

@@ -27,7 +27,7 @@ class NotPrimitive(FibernormError):
 
 
 class NoConvergence(FibernormError):
-    """Power iteration did not settle, or a numeric result came out non-finite."""
+    """Inverse iteration at the Perron root did not settle, or a numeric result was not finite."""
 
 
 class DimensionMismatch(FibernormError):

@@ -700,16 +700,16 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     mod every prime to factors whose degrees sum to d, so the proper
     subset sums of the mod-q patterns are intersected over the prime
     budget, each prime generated only when the loop reaches it: an empty
-    intersection proves irreducibility.  If degrees are left (and the
-    degree is at most 8), products of the numeric roots propose integer
-    factors of those degrees, and exact division decides: Reducible is
-    returned only with a factor that divides p.  The search runs once:
-    when _STALL_PRIMES primes in a row narrow nothing, or at the last
-    prime.  If the root test ran (some prime showed p squarefree) and only
-    degrees 1 and k - 1 are left open, p is Irreducible with no witness
-    prime: it has no integer root, so no factor of degree 1 or k - 1.
-    Anything else is Undecided, as is x^4 + 1, irreducible but with
-    degree 2 open at every prime.
+    intersection proves irreducibility.  If the root test ran (some prime
+    showed p squarefree), p has no integer root, so no factor of degree 1
+    or k - 1.  If other degrees are left (and the degree is at most 8),
+    products of the numeric roots propose integer factors of those
+    degrees, and exact division decides: Reducible is returned only with
+    a factor that divides p.  The search runs once: when _STALL_PRIMES
+    primes in a row narrow nothing, or at the last prime.  If the root
+    test ran and only degrees 1 and k - 1 are left open, p is Irreducible
+    with no witness prime.  Anything else is Undecided, as is x^4 + 1,
+    irreducible but with degree 2 open at every prime.
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -724,6 +724,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
             factor_degrees=(1, k - 1),
             factor=IntPolynomial([-root, 1]),
         )
+    ruled_out = {1, k - 1} if k >= 2 and _squarefree_prime(p) is not None else set()
     possible = set(range(1, k))
     patterns = ()
     stalled = 0
@@ -743,7 +744,8 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
             )
         if not searched and (stalled == _STALL_PRIMES or len(patterns) == prime_budget):
             searched = True
-            factor = _factor_from_roots(p, possible)
+            open_degrees = possible - ruled_out
+            factor = _factor_from_roots(p, open_degrees) if open_degrees else None
             if factor is not None:
                 return IrreducibilityCertificate(
                     CertificateStatus.REDUCIBLE,
@@ -751,7 +753,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                     patterns=patterns,
                     factor=factor,
                 )
-    if _squarefree_prime(p) is not None and possible <= {1, k - 1}:
+    if ruled_out and possible <= ruled_out:
         return IrreducibilityCertificate(
             CertificateStatus.IRREDUCIBLE, factor_degrees=(k,), patterns=patterns
         )

@@ -2,14 +2,16 @@
 
 Primitivity is decided exactly on the positivity pattern (Wielandt's
 bound caps the power to test).  The dominant eigendata is numeric (the
-roots give the Perron root and gap, power iteration the eigenvectors),
-but sign questions about lattice vectors are settled by exact integer
-iteration: the floating eigenvector is never the authority.
+roots give the Perron root and gap, inverse iteration at the Perron root
+the eigenvectors), but sign questions about lattice vectors are settled
+by exact integer iteration: the floating eigenvector is never the
+authority.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul, sub
 
 from .errors import NoConvergence, NotNonnegative, NotPrimitive
 from .exact import char_poly, int_vector
@@ -91,21 +93,94 @@ def _reach(row, masks):
     return out
 
 
-def _power_iterate(A, tol, max_iter):
+def _lu(A, mu):
+    """Partial-pivoting LU of A - mu I in floats, packed in its rows.
+
+    Returns (rows, perm): row i holds the multipliers of L left of the
+    diagonal and U from it on, for row perm[i] of A - mu I.  A pivot below
+    the rounding level of mu is raised to that level, so the factors of
+    the (numerically) singular matrix still solve.
+    """
     try:
-        # Nonzero entries only: skipping zero terms leaves every sum unchanged.
-        rows = [[(j, float(a)) for j, a in enumerate(row) if a] for row in A.rows]
+        rows = [[float(a) for a in row] for row in A.rows]
     except OverflowError:
         raise NoConvergence("matrix entries do not fit in a float") from None
-    v = [1.0 / A.k] * A.k
+    k = A.k
+    for i in range(k):
+        rows[i][i] -= mu
+    floor = math.ulp(mu)
+    perm = list(range(k))
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        perm[c], perm[p] = perm[p], perm[c]
+        top = rows[c]
+        if abs(top[c]) < floor:
+            top[c] = math.copysign(floor, top[c])
+        pivot, tail = top[c], top[c + 1 :]
+        for row in rows[c + 1 :]:
+            if row[c]:
+                f = row[c] = row[c] / pivot
+                row[c + 1 :] = [a - f * b for a, b in zip(row[c + 1 :], tail)]
+    return rows, perm
+
+
+def _solve(rows, perm, v):
+    """x with (A - mu I) x = v, from the factors of _lu: L, then U."""
+    x = [v[p] for p in perm]
+    for i, row in enumerate(rows):
+        x[i] -= sum(map(mul, x[:i], row))
+    for i in reversed(range(len(rows))):
+        row = rows[i]
+        x[i] = (x[i] - sum(map(mul, x[i + 1 :], row[i + 1 :]))) / row[i]
+    return x
+
+
+def _solve_transpose(rows, perm, v):
+    """y with (A - mu I)^T y = v, from the same factors: U^T, then L^T.
+
+    Both triangular solves run by rows of the packed factors, each solved
+    entry subtracted from the entries still open, so nothing is transposed.
+    """
+    z = list(v)
+    for i, row in enumerate(rows):
+        t = z[i] = z[i] / row[i]
+        z[i + 1 :] = [a - t * u for a, u in zip(z[i + 1 :], row[i + 1 :])]
+    for i in reversed(range(len(rows))):
+        t = z[i]
+        z[:i] = [a - t * m for a, m in zip(z[:i], rows[i])]
+    y = [0.0] * len(z)
+    for i, p in enumerate(perm):
+        y[p] = z[i]
+    return y
+
+
+def _inverse_iterate(solve, rows, perm, tol, max_iter):
+    """L1-normalized fixed point of v -> solve(rows, perm, v), started at 1/k.
+
+    Stops once successive iterates differ by less than tol in L1 norm,
+    after at most max_iter solves.  At a shift this close to the
+    eigenvalue that takes two or three solves, after which the change
+    sits at the rounding floor; so a change that stops shrinking while
+    still at or above tol raises NoConvergence at once, as does an
+    iterate that is not finite.
+    """
+    k = len(rows)
+    v = [1.0 / k] * k
+    last = math.inf
     for _ in range(max_iter):
-        w = [sum(a * v[j] for j, a in row) for row in rows]
-        total = sum(w)
-        w = [x / total for x in w]
-        if sum(abs(x - y) for x, y in zip(w, v)) < tol:
+        x = solve(rows, perm, v)
+        total = sum(x)
+        if not (math.isfinite(total) and total):
+            raise NoConvergence("inverse iteration produced a vector that is not finite")
+        w = [t / total for t in x]
+        change = sum(map(abs, map(sub, w, v)))
+        if change < tol:
             return tuple(w)
-        v = w
-    raise NoConvergence(f"power iteration did not settle within {max_iter} iterations")
+        if not change < last:
+            raise NoConvergence(f"inverse iteration stalled at L1 change {change:.3g} >= {tol}")
+        last, v = change, w
+    raise NoConvergence(f"inverse iteration did not settle within {max_iter} solves")
 
 
 def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -113,10 +188,13 @@ def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     The Perron root is the largest modulus among the numeric roots of the
     characteristic polynomial, and the gap is the second largest over it;
-    roots that are not finite raise NoConvergence.  Power iteration on A
-    and on its transpose gives only the eigenvectors, each stopped once
-    successive L1-normalized iterates differ by less than tol in L1 norm,
-    which must be finite and positive.
+    roots that are not finite raise NoConvergence.  Inverse iteration at
+    the Perron root gives only the eigenvectors: A - lambda I is factored
+    once, the factors solve for the right vector and their transpose for
+    the left one.  Each vector stops once successive L1-normalized
+    iterates differ by less than tol in L1 norm, which must be finite and
+    positive, within max_iter solves; a change that stops shrinking above
+    tol raises NoConvergence without spending the rest of the budget.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -125,8 +203,9 @@ def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     moduli = sorted((abs(r) for r in complex_roots(char_poly(A))), reverse=True)
     if not all(math.isfinite(m) for m in moduli):
         raise NoConvergence("characteristic polynomial roots are not finite")
-    right = _power_iterate(A, tol, max_iter)
-    left = _power_iterate(A.transpose(), tol, max_iter)
+    rows, perm = _lu(A, moduli[0])
+    right = _inverse_iterate(_solve, rows, perm, tol, max_iter)
+    left = _inverse_iterate(_solve_transpose, rows, perm, tol, max_iter)
     gap = moduli[1] / moduli[0] if len(moduli) > 1 else 0.0
     return PerronData(eigenvalue=moduli[0], right=right, left=left, gap=gap, witness=witness)
 

@@ -710,14 +710,16 @@ def test_nothing_is_claimed_when_no_budget_prime_shows_p_squarefree():
 
 def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
     # the root test only ever answers Reducible: with it switched off, every
-    # Irreducible certificate keeps its patterns and witness prime
+    # Irreducible certificate keeps its patterns and witness prime.  It is
+    # switched off at its squarefree prime, so that the degrees 1 and k - 1
+    # the factor search skips on its word go back to the search too.
     rng = random.Random(2024)
     polys = [
         IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
         for _ in range(150)
     ]
     with_roots = [irreducibility_certificate(p, 10) for p in polys]
-    monkeypatch.setattr(exact, "_least_integer_root", lambda p: None)
+    monkeypatch.setattr(exact, "_squarefree_prime", lambda p: None)
     without = [irreducibility_certificate(p, 10) for p in polys]
     irreducible = 0
     for new, old in zip(with_roots, without):
@@ -727,6 +729,81 @@ def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
         else:
             assert new.status is not CertificateStatus.IRREDUCIBLE
     assert irreducible > 50
+
+
+def _certificate_searching_every_open_degree(p, prime_budget):
+    """The certificate rule with the factor search offered every open degree.
+
+    The same prime loop as irreducibility_certificate, except that degrees
+    1 and k - 1 stay in the search even after the root test has ruled them
+    out.
+    """
+    k = p.degree
+    root = exact._least_integer_root(p)
+    if root is not None:
+        return exact.IrreducibilityCertificate(
+            CertificateStatus.REDUCIBLE, factor_degrees=(1, k - 1), factor=IntPolynomial([-root, 1])
+        )
+    possible, patterns, stalled, searched = set(range(1, k)), (), 0, False
+    for q in itertools.islice(exact._primes(), prime_budget):
+        degrees = factor_mod_p(p, q)
+        patterns += ((q, degrees),)
+        narrowed = possible & exact._proper_subset_sums(degrees, k)
+        stalled = stalled + 1 if narrowed == possible else 0
+        possible = narrowed
+        if not possible:
+            return exact.IrreducibilityCertificate(
+                CertificateStatus.IRREDUCIBLE,
+                witness_prime=q if degrees == (k,) else None,
+                factor_degrees=(k,),
+                patterns=patterns,
+            )
+        if not searched and (stalled == exact._STALL_PRIMES or len(patterns) == prime_budget):
+            searched = True
+            factor = exact._factor_from_roots(p, possible)
+            if factor is not None:
+                return exact.IrreducibilityCertificate(
+                    CertificateStatus.REDUCIBLE,
+                    factor_degrees=tuple(sorted((factor.degree, k - factor.degree))),
+                    patterns=patterns,
+                    factor=factor,
+                )
+    if exact._squarefree_prime(p) is not None and possible <= {1, k - 1}:
+        return exact.IrreducibilityCertificate(
+            CertificateStatus.IRREDUCIBLE, factor_degrees=(k,), patterns=patterns
+        )
+    return exact.IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)
+
+
+def test_factor_search_skips_degrees_the_root_test_ruled_out():
+    # Once the root test has run, the search is offered only degrees 2..k-2:
+    # every certificate is the one the search over all open degrees gives.
+    rng = random.Random(1729)
+    statuses = set()
+    for _ in range(1000):
+        k = rng.randint(2, 8)
+        p = IntPolynomial([rng.randint(-9, 9) for _ in range(k)] + [1])
+        for budget in (1, 10):
+            cert = irreducibility_certificate(p, budget)
+            assert cert == _certificate_searching_every_open_degree(p, budget), (p.coeffs, budget)
+            statuses.add(cert.status)
+    assert statuses == set(CertificateStatus)
+
+
+def test_factor_search_does_not_run_when_only_degrees_one_and_k_minus_one_are_open(monkeypatch):
+    # x^2 - 2 is (x)^2 and x^3 - 2 is (x)^3 mod 2, so one prime leaves only
+    # degrees 1 and k - 1 open, and the root test has ruled both out.
+    def no_search(p, candidate_degrees):
+        raise AssertionError(f"factor search ran for degrees {sorted(candidate_degrees)}")
+
+    monkeypatch.setattr(exact, "_factor_from_roots", no_search)
+    for coeffs in ([-2, 0, 1], [-2, 0, 0, 1]):
+        p = IntPolynomial(coeffs)
+        assert exact._squarefree_prime(p) is not None
+        cert = irreducibility_certificate(p, 1)
+        assert cert.status is CertificateStatus.IRREDUCIBLE
+        assert cert.witness_prime is None
+        assert cert.patterns == ((2, (1,) * p.degree),)
 
 
 def test_certificate_reads_primes_only_as_far_as_needed():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -70,6 +71,12 @@ def _random_primitive(rng, max_k=5):
 
 def _cycle(k):
     return [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+
+
+def _cycle_with_loop(k):
+    rows = _cycle(k)
+    rows[0][0] = 1
+    return IntMatrix(rows)
 
 
 def test_primitivity_examples():
@@ -157,9 +164,7 @@ def test_gap_stays_finite_on_a_large_random_matrix():
 def test_perron_root_is_relatively_exact_on_a_cycle_with_a_loop():
     # A 16-cycle plus one self-loop has gap 0.94: a Rayleigh quotient with
     # an absolute stopping test stopped 1.2e-10 short of the root.
-    rows = _cycle(16)
-    rows[0][0] = 1
-    matrix = IntMatrix(rows)
+    matrix = _cycle_with_loop(16)
     data = perron_data(matrix)
     assert _brackets_root(char_poly(matrix), data.eigenvalue)
 
@@ -183,6 +188,23 @@ def test_perron_raises_when_roots_are_not_finite():
 def test_no_convergence_when_budget_exhausted():
     with pytest.raises(NoConvergence):
         perron_data(QUAD, tol=1e-12, max_iter=1)
+
+
+def test_three_solves_settle_the_16_cycle_with_a_loop():
+    # gap 0.94, so an iteration that converges at the rate of the gap needs
+    # hundreds of steps; at the Perron root each vector settles in two solves.
+    data = perron_data(_cycle_with_loop(16), max_iter=3)
+    assert data.right == perron_data(_cycle_with_loop(16)).right
+    assert all(x > 0 for x in data.right + data.left)
+
+
+def test_no_convergence_at_the_rounding_floor_is_raised_at_once():
+    # After two solves the change sits at the rounding floor, near 1e-16:
+    # once it stops shrinking the loop gives up, not after max_iter solves.
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence):
+        perron_data(_cycle_with_loop(24), tol=1e-20)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_eventual_positivity_examples():
