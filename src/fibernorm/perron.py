@@ -2,10 +2,10 @@
 
 Primitivity is decided exactly on the positivity pattern (Wielandt's
 bound caps the power to test).  The dominant eigendata is numeric (the
-roots give the Perron root and gap, inverse iteration at the Perron root
-the eigenvectors), but sign questions about lattice vectors are settled
-by exact integer iteration: the floating eigenvector is never the
-authority.
+roots give the Perron root and gap, inverse iteration with one
+pivot-free factorization of lambda I - A the eigenvectors), but sign
+questions about lattice vectors are settled by exact integer iteration:
+the floating eigenvector is never the authority.
 """
 
 import math
@@ -94,27 +94,25 @@ def _reach(row, masks):
 
 
 def _lu(A, mu):
-    """Partial-pivoting LU of A - mu I in floats, packed in its rows.
+    """LU of mu I - A in floats, without pivoting, packed in its rows.
 
-    Returns (rows, perm): row i holds the multipliers of L left of the
-    diagonal and U from it on, for row perm[i] of A - mu I.  A pivot below
-    the rounding level of mu is raised to that level, so the factors of
+    Row i holds the multipliers of L left of the diagonal and U from it
+    on.  At the Perron root of a primitive A, mu I - A is a singular
+    irreducible M-matrix, which Gaussian elimination factors stably with
+    no row exchange, every pivot but the last positive (Funderlic and
+    Plemmons 1981; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 9.6).  A pivot below the rounding level
+    of mu is raised to that level, keeping its sign, so the factors of
     the (numerically) singular matrix still solve.
     """
     try:
-        rows = [[float(a) for a in row] for row in A.rows]
+        rows = [[-float(a) for a in row] for row in A.rows]
     except OverflowError:
         raise NoConvergence("matrix entries do not fit in a float") from None
-    k = A.k
-    for i in range(k):
-        rows[i][i] -= mu
+    for i, row in enumerate(rows):
+        row[i] += mu
     floor = math.ulp(mu)
-    perm = list(range(k))
-    for c in range(k):
-        p = max(range(c, k), key=lambda r: abs(rows[r][c]))
-        rows[c], rows[p] = rows[p], rows[c]
-        perm[c], perm[p] = perm[p], perm[c]
-        top = rows[c]
+    for c, top in enumerate(rows):
         if abs(top[c]) < floor:
             top[c] = math.copysign(floor, top[c])
         pivot, tail = top[c], top[c + 1 :]
@@ -122,12 +120,26 @@ def _lu(A, mu):
             if row[c]:
                 f = row[c] = row[c] / pivot
                 row[c + 1 :] = [a - f * b for a, b in zip(row[c + 1 :], tail)]
-    return rows, perm
+    return rows
 
 
-def _solve(rows, perm, v):
-    """x with (A - mu I) x = v, from the factors of _lu: L, then U."""
-    x = [v[p] for p in perm]
+def _transposed(rows):
+    """The packed factors of the transpose, from those of _lu.
+
+    With U = D V, D its diagonal and V unit upper triangular, the
+    transpose of L D V is V^T times D L^T: a unit lower and an upper
+    factor, packed as _lu packs its own.
+    """
+    d = [row[i] for i, row in enumerate(rows)]
+    return [
+        [u / p for u, p in zip(col[:i], d)] + [d[i]] + [d[i] * m for m in col[i + 1 :]]
+        for i, col in enumerate(zip(*rows))
+    ]
+
+
+def _solve(rows, v):
+    """x with L U x = v, from packed factors: L, then U."""
+    x = list(v)
     for i, row in enumerate(rows):
         x[i] -= sum(map(mul, x[:i], row))
     for i in reversed(range(len(rows))):
@@ -136,27 +148,8 @@ def _solve(rows, perm, v):
     return x
 
 
-def _solve_transpose(rows, perm, v):
-    """y with (A - mu I)^T y = v, from the same factors: U^T, then L^T.
-
-    Both triangular solves run by rows of the packed factors, each solved
-    entry subtracted from the entries still open, so nothing is transposed.
-    """
-    z = list(v)
-    for i, row in enumerate(rows):
-        t = z[i] = z[i] / row[i]
-        z[i + 1 :] = [a - t * u for a, u in zip(z[i + 1 :], row[i + 1 :])]
-    for i in reversed(range(len(rows))):
-        t = z[i]
-        z[:i] = [a - t * m for a, m in zip(z[:i], rows[i])]
-    y = [0.0] * len(z)
-    for i, p in enumerate(perm):
-        y[p] = z[i]
-    return y
-
-
-def _inverse_iterate(solve, rows, perm, tol, max_iter):
-    """L1-normalized fixed point of v -> solve(rows, perm, v), started at 1/k.
+def _inverse_iterate(rows, tol, max_iter):
+    """L1-normalized fixed point of v -> _solve(rows, v), started at 1/k.
 
     Stops once successive iterates differ by less than tol in L1 norm,
     after at most max_iter solves.  At a shift this close to the
@@ -169,7 +162,7 @@ def _inverse_iterate(solve, rows, perm, tol, max_iter):
     v = [1.0 / k] * k
     last = math.inf
     for _ in range(max_iter):
-        x = solve(rows, perm, v)
+        x = _solve(rows, v)
         total = sum(x)
         if not (math.isfinite(total) and total):
             raise NoConvergence("inverse iteration produced a vector that is not finite")
@@ -189,23 +182,27 @@ def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     The Perron root is the largest modulus among the numeric roots of the
     characteristic polynomial, and the gap is the second largest over it;
     roots that are not finite raise NoConvergence.  Inverse iteration at
-    the Perron root gives only the eigenvectors: A - lambda I is factored
-    once, the factors solve for the right vector and their transpose for
-    the left one.  Each vector stops once successive L1-normalized
-    iterates differ by less than tol in L1 norm, which must be finite and
-    positive, within max_iter solves; a change that stops shrinking above
-    tol raises NoConvergence without spending the rest of the budget.
+    the Perron root gives only the eigenvectors: lambda I - A is factored
+    once without pivoting (_lu), and the same numbers, rescaled, factor
+    its transpose, so the right and the left vector come from one solver.
+    Each vector stops once successive L1-normalized iterates differ by
+    less than tol in L1 norm, within max_iter solves; a change that stops
+    shrinking above tol raises NoConvergence without spending the rest of
+    the budget.  tol must be finite and positive and max_iter at least 1,
+    or ValueError is raised before any work.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     (max_iter,) = int_vector((max_iter,), what="iteration limit")
+    if max_iter < 1:
+        raise ValueError(f"iteration limit must be at least 1, got {max_iter}")
     witness = primitivity_check(A)
     moduli = sorted((abs(r) for r in complex_roots(char_poly(A))), reverse=True)
     if not all(math.isfinite(m) for m in moduli):
         raise NoConvergence("characteristic polynomial roots are not finite")
-    rows, perm = _lu(A, moduli[0])
-    right = _inverse_iterate(_solve, rows, perm, tol, max_iter)
-    left = _inverse_iterate(_solve_transpose, rows, perm, tol, max_iter)
+    rows = _lu(A, moduli[0])
+    right = _inverse_iterate(rows, tol, max_iter)
+    left = _inverse_iterate(_transposed(rows), tol, max_iter)
     gap = moduli[1] / moduli[0] if len(moduli) > 1 else 0.0
     return PerronData(eigenvalue=moduli[0], right=right, left=left, gap=gap, witness=witness)
 

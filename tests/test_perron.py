@@ -199,12 +199,33 @@ def test_three_solves_settle_the_16_cycle_with_a_loop():
 
 
 def test_no_convergence_at_the_rounding_floor_is_raised_at_once():
-    # After two solves the change sits at the rounding floor, near 1e-16:
+    # After two solves the change sits at the rounding floor, 2.4e-16 here:
     # once it stops shrinking the loop gives up, not after max_iter solves.
     start = time.perf_counter()
     with pytest.raises(NoConvergence):
-        perron_data(_cycle_with_loop(24), tol=1e-20)
+        perron_data(_cycle_with_loop(16), tol=1e-20)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("k", range(12, 25))
+def test_a_tolerance_below_the_rounding_floor_never_spends_the_budget(k):
+    # Some of these iterates reach an exact fixed point (change 0.0) and
+    # meet the tolerance; the others stall and raise at once.
+    start = time.perf_counter()
+    try:
+        perron_data(_cycle_with_loop(k), tol=1e-20)
+    except NoConvergence:
+        pass
+    assert time.perf_counter() - start < 0.1
+
+
+def test_an_iteration_limit_below_one_is_rejected_before_any_work():
+    # [[0,1],[1,0]] is not primitive and [[-1]] not nonnegative: the limit
+    # is checked first, as the tolerance is.
+    for matrix in (QUAD, IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1]])):
+        for limit in (0, -3):
+            with pytest.raises(ValueError, match="iteration limit"):
+                perron_data(matrix, max_iter=limit)
 
 
 def test_eventual_positivity_examples():
