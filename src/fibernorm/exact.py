@@ -636,9 +636,9 @@ class IrreducibilityCertificate:
     """Outcome of the rational irreducibility test.
 
     ``patterns`` holds each ``(prime, mod-prime factor degrees)`` pair read.
-    Irreducible: no proper factor degree is a subset sum of every pattern;
-    ``witness_prime`` is a prime where the polynomial stays in one piece of
-    full degree, or None when only the patterns together rule factors out.
+    Irreducible: no factor degree the root test leaves open is a subset
+    sum of every pattern; ``witness_prime`` is a prime where the polynomial
+    stays in one piece of full degree, or None when no single prime does.
     Reducible carries ``factor``, a monic integer factor of proper degree
     that divides the polynomial exactly (one ``div_rem`` checks it), and
     the degrees of that split.  Undecided is an honest answer, not an
@@ -696,20 +696,22 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     First an exact test for a linear factor: when p has degree at least 2
     and an integer root, found by Hensel lifting (_least_integer_root),
     the answer is Reducible with factor x - r for the least such root r
-    and no pattern read.  Otherwise a monic factor of degree d reduces
-    mod every prime to factors whose degrees sum to d, so the proper
-    subset sums of the mod-q patterns are intersected over the prime
-    budget, each prime generated only when the loop reaches it: an empty
-    intersection proves irreducibility.  If the root test ran (some prime
-    showed p squarefree), p has no integer root, so no factor of degree 1
-    or k - 1.  If other degrees are left (and the degree is at most 8),
-    products of the numeric roots propose integer factors of those
-    degrees, and exact division decides: Reducible is returned only with
-    a factor that divides p.  The search runs once: when _STALL_PRIMES
-    primes in a row narrow nothing, or at the last prime.  If the root
-    test ran and only degrees 1 and k - 1 are left open, p is Irreducible
-    with no witness prime.  Anything else is Undecided, as is x^4 + 1,
+    and no pattern read.  When the test ran (some prime showed p
+    squarefree) and found none, no factor has degree 1 or k - 1, so the
+    open degrees start at 2 .. k - 2, else at 1 .. k - 1.  A monic factor
+    of degree d reduces mod every prime to factors whose degrees sum to
+    d, so each prime, generated only when the loop reaches it, keeps the
+    open degrees that are subset sums of its pattern: none left proves
+    irreducibility, at the first prime for a quadratic or cubic.  If
+    degrees stay open (and the degree is at most 8), products of the
+    numeric roots propose integer factors of those degrees, and exact
+    division decides: Reducible only with a factor that divides p.  The
+    search runs once: when _STALL_PRIMES primes in a row narrow nothing,
+    or at the last prime.  Anything else is Undecided, as is x^4 + 1,
     irreducible but with degree 2 open at every prime.
+
+    >>> irreducibility_certificate(IntPolynomial([-2, 0, 0, 1])).patterns
+    ((2, (1, 1, 1)),)
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
@@ -724,8 +726,10 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
             factor_degrees=(1, k - 1),
             factor=IntPolynomial([-root, 1]),
         )
-    ruled_out = {1, k - 1} if k >= 2 and _squarefree_prime(p) is not None else set()
-    possible = set(range(1, k))
+    # No integer root: once the root test has run, that proves p has no
+    # factor of degree 1 or k - 1.
+    root_test_ran = k >= 2 and _squarefree_prime(p) is not None
+    possible = set(range(2, k - 1)) if root_test_ran else set(range(1, k))
     patterns = ()
     stalled = 0
     searched = False
@@ -744,8 +748,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
             )
         if not searched and (stalled == _STALL_PRIMES or len(patterns) == prime_budget):
             searched = True
-            open_degrees = possible - ruled_out
-            factor = _factor_from_roots(p, open_degrees) if open_degrees else None
+            factor = _factor_from_roots(p, possible)
             if factor is not None:
                 return IrreducibilityCertificate(
                     CertificateStatus.REDUCIBLE,
@@ -753,8 +756,4 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                     patterns=patterns,
                     factor=factor,
                 )
-    if ruled_out and possible <= ruled_out:
-        return IrreducibilityCertificate(
-            CertificateStatus.IRREDUCIBLE, factor_degrees=(k,), patterns=patterns
-        )
     return IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)

@@ -135,8 +135,9 @@ def test_trace_subcommand(tmp_path):
 
 
 def test_trace_is_decided_when_the_root_test_closes_the_open_degrees(tmp_path):
-    # x^2 - 5x - 2 is x(x + 1) mod 2, the one prime of the budget, so degree
-    # 1 stays open; the exact root test already found no integer root
+    # x^2 - 5x - 2 is x(x + 1) mod 2, the one prime of the budget, which
+    # would leave degree 1 open; the exact root test, which found no integer
+    # root, closed it before that prime
     path = write_doc(tmp_path, "m.txt", "matrix = [[1,2],[3,4]]\n")
     code, out, _ = run_cli(["trace", "--input", path, "--element", "[1,0]", "--prime-budget", "1"])
     assert (code, out) == (0, "trace_functional = [2,5]\nelement = [1,0]\ntrace = 2\n")

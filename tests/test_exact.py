@@ -510,9 +510,12 @@ def test_certificate_examples():
     assert cert.witness_prime == 2
     assert cert.factor_degrees == (2,)
 
+    # x^3 - x^2 - x - 1 has no integer root, so a cubic has no factor left
+    # to rule out: the first prime decides, and it need not keep p whole
     cert = irreducibility_certificate(IntPolynomial([-1, -1, -1, 1]), 5)
     assert cert.status is CertificateStatus.IRREDUCIBLE
-    assert cert.witness_prime == 3
+    assert cert.witness_prime is None
+    assert cert.patterns == ((2, (1, 1, 1)),)
 
     cert = irreducibility_certificate(IntPolynomial([-1, 0, 1]), 5)
     assert cert.status is CertificateStatus.REDUCIBLE
@@ -533,11 +536,16 @@ def test_certificate_witness_is_checkable():
                 assert factor_mod_p(p, cert.witness_prime) == (degree,)
                 continue
             # no single witness: the patterns together leave no factor degree
+            # but 1 and k - 1, and those only when the root test proves p
+            # has no integer root
             possible = set(range(1, degree))
             for q, pattern in cert.patterns:
                 assert factor_mod_p(p, q) == pattern
                 possible -= {d for d in possible if not _is_subset_sum(pattern, d)}
-            assert not possible
+            if possible:
+                assert possible <= {1, degree - 1}
+                assert exact._squarefree_prime(p) is not None
+                assert exact._least_integer_root(p) is None
 
 
 def _is_subset_sum(parts, target):
@@ -548,10 +556,19 @@ def _is_subset_sum(parts, target):
     )
 
 
-def test_certificate_patterns_prove_irreducibility_without_a_witness():
-    # x^4 - 2x^3 - x^2 - 3x - 3 splits (1,3) mod 2, (1,1,2) mod 3 and (2,2)
-    # mod 5: no prime keeps it whole, yet no proper degree survives all three.
-    cert = irreducibility_certificate(IntPolynomial([-3, -3, -1, -2, 1]), 10)
+def test_certificate_patterns_prove_irreducibility_without_a_witness(monkeypatch):
+    # x^4 - 2x^3 - x^2 - 3x - 3 has no integer root, so only degree 2 is
+    # open, and the (1,3) split mod 2 closes it.
+    p = IntPolynomial([-3, -3, -1, -2, 1])
+    cert = irreducibility_certificate(p, 10)
+    assert cert.status is CertificateStatus.IRREDUCIBLE
+    assert cert.witness_prime is None
+    assert cert.patterns == ((2, (1, 3)),)
+    # With the root test switched off, it splits (1,3) mod 2, (1,1,2) mod 3
+    # and (2,2) mod 5: no prime keeps it whole, yet no proper degree
+    # survives all three.
+    monkeypatch.setattr(exact, "_squarefree_prime", lambda p: None)
+    cert = irreducibility_certificate(p, 10)
     assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime is None
     assert cert.patterns == ((2, (1, 3)), (3, (1, 1, 2)), (5, (2, 2)))
@@ -578,7 +595,7 @@ def test_certificate_square_is_reducible():
 
 def test_certificate_divisor_enumeration_is_bounded():
     # Large constant terms once meant enumerating their divisors; the
-    # factor now comes from the roots, so its size costs nothing.
+    # integer-root test finds the factor, so its size costs nothing.
     cert = irreducibility_certificate(IntPolynomial([-16_000_000, 0, 1]), 10)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
@@ -709,10 +726,11 @@ def test_nothing_is_claimed_when_no_budget_prime_shows_p_squarefree():
 
 
 def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
-    # the root test only ever answers Reducible: with it switched off, every
-    # Irreducible certificate keeps its patterns and witness prime.  It is
-    # switched off at its squarefree prime, so that the degrees 1 and k - 1
-    # the factor search skips on its word go back to the search too.
+    # With the root test switched off, the patterns alone must rule out
+    # degrees 1 and k - 1 too: every certificate Irreducible that way is
+    # Irreducible with the root test, which only closes those degrees
+    # sooner, so it reads a prefix of the same primes.  It is switched off
+    # at its squarefree prime, so that the open degrees start at 1 .. k - 1.
     rng = random.Random(2024)
     polys = [
         IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
@@ -725,21 +743,23 @@ def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
     for new, old in zip(with_roots, without):
         if old.status is CertificateStatus.IRREDUCIBLE:
             irreducible += 1
-            assert new == old
-        else:
-            assert new.status is not CertificateStatus.IRREDUCIBLE
+            assert new.status is CertificateStatus.IRREDUCIBLE
+            assert new.patterns == old.patterns[: len(new.patterns)]
+        elif old.status is CertificateStatus.REDUCIBLE:
+            assert new.status is CertificateStatus.REDUCIBLE
     assert irreducible > 50
 
 
 def _certificate_searching_every_open_degree(p, prime_budget):
-    """The certificate rule with the factor search offered every open degree.
+    """The certificate rule that closes degrees 1 and k - 1 last.
 
-    The same prime loop as irreducibility_certificate, except that degrees
-    1 and k - 1 stay in the search even after the root test has ruled them
-    out.
+    The same prime loop as irreducibility_certificate, except that the
+    open degrees start at 1 .. k - 1 even after the root test has ruled
+    out 1 and k - 1, so the primes and the factor search go on deciding
+    them; only after the loop does the root test's word close them.
     """
     k = p.degree
-    root = exact._least_integer_root(p)
+    root = exact._least_integer_root(p) if k >= 2 else None
     if root is not None:
         return exact.IrreducibilityCertificate(
             CertificateStatus.REDUCIBLE, factor_degrees=(1, k - 1), factor=IntPolynomial([-root, 1])
@@ -768,31 +788,54 @@ def _certificate_searching_every_open_degree(p, prime_budget):
                     patterns=patterns,
                     factor=factor,
                 )
-    if exact._squarefree_prime(p) is not None and possible <= {1, k - 1}:
+    if k >= 2 and exact._squarefree_prime(p) is not None and possible <= {1, k - 1}:
         return exact.IrreducibilityCertificate(
             CertificateStatus.IRREDUCIBLE, factor_degrees=(k,), patterns=patterns
         )
     return exact.IrreducibilityCertificate(CertificateStatus.UNDECIDED, patterns=patterns)
 
 
-def test_factor_search_skips_degrees_the_root_test_ruled_out():
-    # Once the root test has run, the search is offered only degrees 2..k-2:
-    # every certificate is the one the search over all open degrees gives.
-    rng = random.Random(1729)
-    statuses = set()
+def _reference_corpus(rng):
+    """3,500 seeded monic polynomials of degree 1-12: small, reducible and wide."""
     for _ in range(1000):
         k = rng.randint(2, 8)
-        p = IntPolynomial([rng.randint(-9, 9) for _ in range(k)] + [1])
-        for budget in (1, 10):
+        yield IntPolynomial([rng.randint(-9, 9) for _ in range(k)] + [1])
+    for _ in range(1500):
+        k = rng.randint(1, 10)
+        yield IntPolynomial([rng.randint(-9, 9) for _ in range(k)] + [1])
+    for _ in range(700):
+        f, g = (
+            IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))] + [1])
+            for _ in range(2)
+        )
+        yield f * g
+    for _ in range(300):
+        k = rng.randint(4, 12)
+        yield IntPolynomial([rng.randint(-(2**60), 2**60) for _ in range(k)] + [1])
+
+
+def test_factor_search_skips_degrees_the_root_test_ruled_out():
+    # Once the root test has run, degrees 1 and k - 1 are closed before the
+    # first prime: every verdict is the one of the rule that closes them
+    # last, read from a prefix of its primes.
+    statuses = set()
+    for p in _reference_corpus(random.Random(1729)):
+        for budget in (1, 3, 10):
             cert = irreducibility_certificate(p, budget)
-            assert cert == _certificate_searching_every_open_degree(p, budget), (p.coeffs, budget)
+            reference = _certificate_searching_every_open_degree(p, budget)
+            assert (cert.status, cert.factor, cert.factor_degrees) == (
+                reference.status,
+                reference.factor,
+                reference.factor_degrees,
+            ), (p.coeffs, budget)
+            assert cert.patterns == reference.patterns[: len(cert.patterns)], (p.coeffs, budget)
             statuses.add(cert.status)
     assert statuses == set(CertificateStatus)
 
 
 def test_factor_search_does_not_run_when_only_degrees_one_and_k_minus_one_are_open(monkeypatch):
-    # x^2 - 2 is (x)^2 and x^3 - 2 is (x)^3 mod 2, so one prime leaves only
-    # degrees 1 and k - 1 open, and the root test has ruled both out.
+    # x^2 - 2 is (x)^2 and x^3 - 2 is (x)^3 mod 2, but with no integer
+    # root a quadratic or cubic has no degree left open: one prime ends it.
     def no_search(p, candidate_degrees):
         raise AssertionError(f"factor search ran for degrees {sorted(candidate_degrees)}")
 
@@ -817,17 +860,21 @@ def test_certificate_reads_primes_only_as_far_as_needed():
 
 
 def test_certificate_stops_reading_primes_once_a_factor_is_found():
-    # x^2 - 10^12 never empties its degree set; once the primes stop
-    # narrowing it, the factor search runs instead of waiting for the
-    # budget, so 10^8 primes cost what 10 do and give the same answer.
-    p = IntPolynomial([-(10**12), 0, 1])
+    # (x^2 - 2)(x^2 - 3) has no integer root (its squarefree prime is 5),
+    # so degree 2 is open, and every prime keeps it open.  Once
+    # _STALL_PRIMES primes have narrowed nothing, the factor search runs
+    # instead of waiting for the budget, so 10^8 primes cost what 10 do
+    # and give the same certificate.
+    p = IntPolynomial([-2, 0, 1]) * IntPolynomial([-3, 0, 1])
+    assert exact._squarefree_prime(p) == 5
+    assert exact._least_integer_root(p) is None
     start = time.perf_counter()
     cert = irreducibility_certificate(p, 10**8)
     assert time.perf_counter() - start < 1
-    small = irreducibility_certificate(p, 10)
     assert cert.status is CertificateStatus.REDUCIBLE
-    assert (cert.factor, cert.factor_degrees) == (small.factor, small.factor_degrees)
-    assert cert.patterns == small.patterns[: len(cert.patterns)]
+    assert cert.factor == IntPolynomial([-2, 0, 1])
+    assert cert == irreducibility_certificate(p, 10)
+    assert len(cert.patterns) == exact._STALL_PRIMES
 
 
 def test_certificate_undecided_for_everywhere_split_polynomial():

@@ -193,12 +193,12 @@ def test_decided_certificates_agree_with_sympy(p):
 
 def test_certificates_closed_by_the_root_test_are_irreducible():
     # Irreducible though the patterns leave degrees open: the root test
-    # closed 1 and k - 1, and nothing else may be left
+    # closed 1 and k - 1 before the first prime, and nothing else may be left
     rng = random.Random(2261)
     closed = 0
-    for budget in (1, 2):
+    for budget in (1, 2, 10):
         for _ in range(200):
-            p = _monic([rng.randint(-20, 20) for _ in range(rng.randint(2, 8))])
+            p = _monic([rng.randint(-20, 20) for _ in range(rng.randint(2, 10))])
             cert = irreducibility_certificate(p, budget)
             open_degrees = set(range(1, p.degree))
             for _, degrees in cert.patterns:
