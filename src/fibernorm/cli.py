@@ -42,7 +42,7 @@ from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecid
 from .exact import DEFAULT_PRIME_BUDGET, IntMatrix, char_poly
 from .norm import ConeDescription, cone_membership, cone_points_text, fiber_class_report
 from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
-from .perron import DEFAULT_MAX_ITER, DEFAULT_TOL, Sign, eventual_positivity, perron_data
+from .perron import Sign, eventual_positivity, perron_data
 
 USAGE = """\
 usage: fibernorm <subcommand> --input <path> [flags]
@@ -60,8 +60,6 @@ subcommands:
 
 flags:
   --input <path>        input document (required)
-  --tol <float>         numeric tolerance            (default 1e-12)
-  --max-iter <int>      inverse iteration solves     (default 100000)
   --prime-budget <int>  reduction primes to try      (default 10)
   --element [a0,...]    field element coordinates
   --class [z1,...]      homology class
@@ -234,7 +232,7 @@ def _cmd_charpoly(doc, opts):
 
 
 def _cmd_perron(doc, opts):
-    data = perron_data(doc.matrix, tol=opts.tol, max_iter=opts.max_iter)
+    data = perron_data(doc.matrix)
     return [
         ("lambda", data.eigenvalue),
         ("right_vec", data.right),
@@ -381,10 +379,6 @@ def _checked(convert, accept):
 # rejects a value by raising ValueError or ParseError.
 _FLAGS = {
     "--input": ("input", str, "a path", None),
-    "--tol": ("tol", _checked(float, lambda t: 0 < t < math.inf), "a finite number > 0",
-              DEFAULT_TOL),
-    "--max-iter": ("max_iter", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1",
-                   DEFAULT_MAX_ITER),
     "--prime-budget": ("prime_budget", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1",
                        DEFAULT_PRIME_BUDGET),
     "--element": ("element", _parse_bracket_int_list, "[i,j,...]", None),

@@ -35,7 +35,7 @@ class DimensionMismatch(FibernormError):
 
 
 class DegenerateMonodromy(FibernormError):
-    """The minimal polynomial is smaller than the characteristic polynomial."""
+    """The minimal polynomial is smaller than the characteristic one, or k < 2 (e.g. [[5]])."""
 
 
 class NotAField(FibernormError):

@@ -125,6 +125,8 @@ class IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
 
     def __add__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -134,9 +136,13 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def __sub__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -202,12 +208,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
     def __add__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         self._check_same_size(other)
         return IntMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         self._check_same_size(other)
         return IntMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]

@@ -21,8 +21,8 @@ from .roots import complex_roots
 # many applications of the matrix are reported as such, never guessed.
 ITERATION_BOUND = 64
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
+_TOL = 1e-12
+_MAX_ITER = 100_000
 
 
 class Sign(Enum):
@@ -148,7 +148,7 @@ def _solve(rows, v):
     return x
 
 
-def _inverse_iterate(rows, tol, max_iter):
+def _inverse_iterate(rows, tol=_TOL, max_iter=_MAX_ITER):
     """L1-normalized fixed point of v -> _solve(rows, v), started at 1/k.
 
     Stops once successive iterates differ by less than tol in L1 norm,
@@ -156,7 +156,8 @@ def _inverse_iterate(rows, tol, max_iter):
     eigenvalue that takes two or three solves, after which the change
     sits at the rounding floor; so a change that stops shrinking while
     still at or above tol raises NoConvergence at once, as does an
-    iterate that is not finite.
+    iterate that is not finite.  perron_data always uses the defaults;
+    the arguments let tests reach the stall rule and the budget.
     """
     k = len(rows)
     v = [1.0 / k] * k
@@ -176,7 +177,7 @@ def _inverse_iterate(rows, tol, max_iter):
     raise NoConvergence(f"inverse iteration did not settle within {max_iter} solves")
 
 
-def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def perron_data(A):
     """Dominant eigenvalue, spectral gap and positive eigenvectors.
 
     The Perron root is the largest modulus among the numeric roots of the
@@ -186,23 +187,17 @@ def perron_data(A, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     once without pivoting (_lu), and the same numbers, rescaled, factor
     its transpose, so the right and the left vector come from one solver.
     Each vector stops once successive L1-normalized iterates differ by
-    less than tol in L1 norm, within max_iter solves; a change that stops
-    shrinking above tol raises NoConvergence without spending the rest of
-    the budget.  tol must be finite and positive and max_iter at least 1,
-    or ValueError is raised before any work.
+    less than 1e-12 in L1 norm, which takes two or three solves; a change
+    that stops shrinking above that, an iterate that is not finite, or
+    100,000 solves raise NoConvergence.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    (max_iter,) = int_vector((max_iter,), what="iteration limit")
-    if max_iter < 1:
-        raise ValueError(f"iteration limit must be at least 1, got {max_iter}")
     witness = primitivity_check(A)
     moduli = sorted((abs(r) for r in complex_roots(char_poly(A))), reverse=True)
     if not all(math.isfinite(m) for m in moduli):
         raise NoConvergence("characteristic polynomial roots are not finite")
     rows = _lu(A, moduli[0])
-    right = _inverse_iterate(rows, tol, max_iter)
-    left = _inverse_iterate(_transposed(rows), tol, max_iter)
+    right = _inverse_iterate(rows)
+    left = _inverse_iterate(_transposed(rows))
     gap = moduli[1] / moduli[0] if len(moduli) > 1 else 0.0
     return PerronData(eigenvalue=moduli[0], right=right, left=left, gap=gap, witness=witness)
 

@@ -135,7 +135,7 @@ def test_criterion_05_cone_axioms_exhaustive():
 
 def test_criterion_06_perron_fixture_and_spectral_dominance():
     with criterion(6, "perron eigenvalue fixture and spectral dominance"):
-        data = perron_data(QUAD, tol=1e-12)
+        data = perron_data(QUAD)
         assert abs(data.eigenvalue - 2.618033988750) < 1e-9
         for matrix, _ in certified_corpus():
             lam = perron_data(matrix).eigenvalue

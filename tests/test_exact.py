@@ -9,6 +9,7 @@ against exhaustive trial division.
 
 import itertools
 import math
+import operator
 import random
 import time
 from itertools import combinations
@@ -171,6 +172,18 @@ def test_polynomial_arithmetic_and_division():
     assert q * d + r == p
     with pytest.raises(ValueError):
         p.div_rem(IntPolynomial([1, 2]))
+
+
+# The package's rule for a wrong operand type is TypeError, never an
+# AttributeError from inside the method; IntMatrix covers the reflected side.
+@pytest.mark.parametrize("operand", [2, 1.5, "x", IntMatrix([[1]]), None])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_polynomial_arithmetic_with_a_non_polynomial_is_a_type_error(op, operand):
+    p = IntPolynomial([1, 1])
+    with pytest.raises(TypeError):
+        op(p, operand)
+    with pytest.raises(TypeError):
+        op(operand, p)
 
 
 def test_matrix_rejects_bad_shapes():

@@ -13,6 +13,9 @@ from fibernorm.exact import IntMatrix, char_poly
 from fibernorm.perron import (
     ITERATION_BOUND,
     Sign,
+    _inverse_iterate,
+    _lu,
+    _transposed,
     eventual_positivity,
     perron_data,
     primitivity_check,
@@ -109,18 +112,18 @@ def test_primitivity_witness_is_smallest():
 
 
 def test_perron_eigenvalue_fixtures():
-    data = perron_data(QUAD, tol=1e-12)
+    data = perron_data(QUAD)
     assert abs(data.eigenvalue - 2.618033988750) < 1e-9
-    data = perron_data(TRIB, tol=1e-12)
+    data = perron_data(TRIB)
     assert abs(data.eigenvalue - 1.839286755214) < 1e-9
-    data = perron_data(FIB, tol=1e-12)
+    data = perron_data(FIB)
     assert abs(data.right[0] - 0.618034) < 1e-5
     assert abs(data.right[1] - 0.381966) < 1e-5
 
 
 def test_perron_matches_exact_bisection():
     for matrix in (QUAD, FIB, TRIB):
-        data = perron_data(matrix, tol=1e-12)
+        data = perron_data(matrix)
         root = _largest_real_root(char_poly(matrix))
         assert abs(data.eigenvalue - float(root)) < 10 * 1e-12
 
@@ -185,25 +188,34 @@ def test_perron_raises_when_roots_are_not_finite():
         perron_data(_companion([2**160] * 10))
 
 
+def _perron_factors(matrix):
+    """The packed factors of lambda I - A at the Perron root, as perron_data builds them."""
+    return _lu(matrix, perron_data(matrix).eigenvalue)
+
+
 def test_no_convergence_when_budget_exhausted():
-    with pytest.raises(NoConvergence):
-        perron_data(QUAD, tol=1e-12, max_iter=1)
+    with pytest.raises(NoConvergence, match="within 1 solves"):
+        _inverse_iterate(_perron_factors(QUAD), 1e-12, 1)
 
 
 def test_three_solves_settle_the_16_cycle_with_a_loop():
     # gap 0.94, so an iteration that converges at the rate of the gap needs
     # hundreds of steps; at the Perron root each vector settles in two solves.
-    data = perron_data(_cycle_with_loop(16), max_iter=3)
-    assert data.right == perron_data(_cycle_with_loop(16)).right
+    matrix = _cycle_with_loop(16)
+    rows = _perron_factors(matrix)
+    data = perron_data(matrix)
+    assert _inverse_iterate(rows, 1e-12, 3) == data.right
+    assert _inverse_iterate(_transposed(rows), 1e-12, 3) == data.left
     assert all(x > 0 for x in data.right + data.left)
 
 
 def test_no_convergence_at_the_rounding_floor_is_raised_at_once():
     # After two solves the change sits at the rounding floor, 2.4e-16 here:
     # once it stops shrinking the loop gives up, not after max_iter solves.
+    rows = _perron_factors(_cycle_with_loop(16))
     start = time.perf_counter()
-    with pytest.raises(NoConvergence):
-        perron_data(_cycle_with_loop(16), tol=1e-20)
+    with pytest.raises(NoConvergence, match="stalled"):
+        _inverse_iterate(rows, 1e-20, 100_000)
     assert time.perf_counter() - start < 0.1
 
 
@@ -211,21 +223,14 @@ def test_no_convergence_at_the_rounding_floor_is_raised_at_once():
 def test_a_tolerance_below_the_rounding_floor_never_spends_the_budget(k):
     # Some of these iterates reach an exact fixed point (change 0.0) and
     # meet the tolerance; the others stall and raise at once.
-    start = time.perf_counter()
-    try:
-        perron_data(_cycle_with_loop(k), tol=1e-20)
-    except NoConvergence:
-        pass
-    assert time.perf_counter() - start < 0.1
-
-
-def test_an_iteration_limit_below_one_is_rejected_before_any_work():
-    # [[0,1],[1,0]] is not primitive and [[-1]] not nonnegative: the limit
-    # is checked first, as the tolerance is.
-    for matrix in (QUAD, IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1]])):
-        for limit in (0, -3):
-            with pytest.raises(ValueError, match="iteration limit"):
-                perron_data(matrix, max_iter=limit)
+    rows = _perron_factors(_cycle_with_loop(k))
+    for factors in (rows, _transposed(rows)):
+        start = time.perf_counter()
+        try:
+            _inverse_iterate(factors, 1e-20, 100_000)
+        except NoConvergence:
+            pass
+        assert time.perf_counter() - start < 0.1
 
 
 def test_eventual_positivity_examples():
