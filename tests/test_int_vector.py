@@ -6,8 +6,11 @@ Scalar integer arguments (stages, radii, levels, genus, budgets and
 iteration limits) follow the same rule.
 """
 
+import math
+
 import pytest
 
+from fibernorm import perron
 from fibernorm.bundle import SingularityData, build_bundle, euler_pairing_fiber, h2_rank
 from fibernorm.dimgroup import (
     DimGroupElement,
@@ -115,10 +118,32 @@ SCALAR_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
-def test_scalar_arguments_are_strict(call):
-    with pytest.raises(TypeError, match="must be integers"):
+def _scalar_cases():
+    for name, call in SCALAR_CALLS.items():
+        yield pytest.param(call, "must be integers", id=name)
+    # perron_data takes no iteration limit, so a float one is refused as an
+    # unknown argument before it could reach the iteration.
+    yield pytest.param(
+        lambda: perron_data(FIB, max_iter=2.5),
+        "unexpected keyword argument 'max_iter'",
+        id="perron_data-max_iter",
+    )
+
+
+@pytest.mark.parametrize("call, message", _scalar_cases())
+def test_scalar_arguments_are_strict(call, message):
+    with pytest.raises(TypeError, match=message):
         call()
+
+
+# A tolerance that is not finite and positive once ran every iteration
+# before NoConvergence (nan, 0, -1) or stopped after one (inf). The
+# tolerance is now fixed, finite and positive, and none can be passed in.
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12])
+def test_perron_tolerance_must_be_finite_and_positive(tol):
+    assert math.isfinite(perron._TOL) and perron._TOL > 0
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        perron_data(FIB, tol=tol)
 
 
 # perron_data's stopping rule is fixed: a tolerance or an iteration limit

@@ -233,6 +233,15 @@ def test_a_tolerance_below_the_rounding_floor_never_spends_the_budget(k):
         assert time.perf_counter() - start < 0.1
 
 
+def test_an_iteration_limit_below_one_is_rejected_before_any_work():
+    # [[0,1],[1,0]] is not primitive and [[-1]] not nonnegative: the limit
+    # is refused before either is found out. perron_data takes no limit.
+    for matrix in (QUAD, IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1]])):
+        for limit in (0, -3):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'max_iter'"):
+                perron_data(matrix, max_iter=limit)
+
+
 def test_eventual_positivity_examples():
     sign = eventual_positivity(FIB, (1, -1))
     assert sign.sign is Sign.POSITIVE and sign.witness == 3
