@@ -101,21 +101,26 @@ def bratteli_dot(group, levels):
     floor t+1.  Floors are emitted top to bottom, vertices by index,
     edges by (floor, target row, source column).  Every floor has the
     same vertex lines and every pair of adjacent floors the same edge
-    lines, so both blocks are built once as templates on the floor
-    numbers: one format call per floor, then one join of the output.
+    lines, so both blocks are built once as templates, "\\0" standing
+    for floor t and "\\1" for floor t+1 (no line holds another control
+    character): one str.replace per placeholder per floor, then one
+    join of the output.
     """
     check_levels(levels)
-    vertices = "".join(f"  v{{0}}_{i};\n" for i in range(group.k))
+    vertices = "".join(f"  v\0_{i};\n" for i in range(group.k))
     edges = "".join(
-        f"  v{{0}}_{j} -> v{{1}}_{i};\n" * count
+        f"  v\0_{j} -> v\1_{i};\n" * count
         for i, row in enumerate(group.matrix.rows)
         for j, count in enumerate(row)
     )
     return "".join(
         [
             "digraph bratteli {\n",
-            *map(vertices.format, range(levels)),
-            *map(edges.format, range(levels - 1), range(1, levels)),
+            *[vertices.replace("\0", str(t)) for t in range(levels)],
+            *[
+                edges.replace("\0", str(t)).replace("\1", str(t + 1))
+                for t in range(levels - 1)
+            ],
             "}\n",
         ]
     )

@@ -1,7 +1,7 @@
 """Stationary dimension groups: telescoping, order, diagram output."""
 
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -213,11 +213,46 @@ def _reference_dot(matrix, levels):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("levels", [2, 3, 50])
+def _assert_dot_matches(matrix, levels):
+    # The first differing line, not the whole text: pytest's diff of two
+    # texts of megabytes would take minutes.
+    dot = bratteli_dot(make_dim_group(matrix), levels)
+    assert not {"\0", "\1"} & set(dot)
+    lines = zip_longest(dot.split("\n"), _reference_dot(matrix, levels).split("\n"))
+    assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
+
+
+# Floor numbers cross from one digit to two, three and four.
+@pytest.mark.parametrize("levels", [2, 3, 10, 11, 50, 100, 101, 1001])
 @pytest.mark.parametrize("matrix", DOT_MATRICES, ids=lambda m: f"k{m.k}")
 def test_bratteli_dot_matches_line_by_line(matrix, levels):
-    group = make_dim_group(matrix)
-    assert bratteli_dot(group, levels) == _reference_dot(matrix, levels)
+    _assert_dot_matches(matrix, levels)
+
+
+def test_bratteli_dot_ten_thousand_floors():
+    _assert_dot_matches(DOT_MATRICES[4], 10_000)
+
+
+def test_bratteli_dot_matches_on_random_primitive_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = st.integers(1, 6).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices, st.integers(2, 1200))
+    def check(rows, levels):
+        matrix = IntMatrix(rows)
+        try:
+            make_dim_group(matrix)
+        except NotPrimitive:
+            hypothesis.assume(False)
+        _assert_dot_matches(matrix, levels)
+
+    check()
 
 
 def test_bratteli_dot_counts():
