@@ -207,23 +207,21 @@ def _cone_walk(cone, span, cells, start):
 def enumerate_cone_points(cone, box_radius):
     """Lattice points z of the box with z . t >= 0, lexicographic order.
 
-    The points of a (k-2)-prefix are the prefix followed by one
-    (x_{k-1}, x_k) for each admissible pair, and which pairs those are
-    depends on the prefix only through its dot product s with t[:-2]:
-    each distinct s finds its runs of x_k once.  Cost: one prefix walk,
-    the runs of each distinct s, one row tuple per prefix and run, and
-    one tuple per point returned; no dot product per box point.
+    The points of a (k-2)-prefix are the prefix followed by one list of
+    (x_{k-1}, x_k) tails, which depends on the prefix only through its
+    dot product s with t[:-2]: each distinct s builds its tails once.
+    Cost: one prefix walk, the tails of each distinct s, and one tuple
+    per point returned; no dot product per box point.
     """
     span = _box_span(box_radius)
     lasts = [(x,) for x in span]
     prefixes, runs = _cone_walk(cone, span, lasts, ())
-    runs_by_sum = {}
+    tails = {}  # s -> the (x_{k-1}, x_k) of the points of a prefix with sum s
     points = []
     for prefix, s in prefixes:
-        if s not in runs_by_sum:
-            runs_by_sum[s] = runs(s)
-        for cell, lo, hi in runs_by_sum[s]:
-            points += map((prefix + cell).__add__, lasts[lo:hi])
+        if s not in tails:
+            tails[s] = [cell + y for cell, lo, hi in runs(s) for y in lasts[lo:hi]]
+        points += map(prefix.__add__, tails[s])
     return points
 
 

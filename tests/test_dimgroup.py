@@ -222,15 +222,18 @@ def _assert_dot_matches(matrix, levels):
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
 
 
-# Floor numbers cross from one digit to two, three and four.
-@pytest.mark.parametrize("levels", [2, 3, 10, 11, 50, 100, 101, 1001])
-@pytest.mark.parametrize("matrix", DOT_MATRICES, ids=lambda m: f"k{m.k}")
+# Floor numbers cross from one digit to two, three and four, and to five
+# on the k = 4 matrix.  Ids are k<size>, _0 and _1 telling the 2x2 apart.
+DOT_CASES = [
+    pytest.param(matrix, levels, id=f"{name}-{levels}")
+    for matrix, name in zip(DOT_MATRICES, ("k1", "k2_0", "k2_1", "k3", "k4", "k5"))
+    for levels in (2, 3, 10, 11, 50, 100, 101, 1001) + ((10_000,) if name == "k4" else ())
+]
+
+
+@pytest.mark.parametrize("matrix, levels", DOT_CASES)
 def test_bratteli_dot_matches_line_by_line(matrix, levels):
     _assert_dot_matches(matrix, levels)
-
-
-def test_bratteli_dot_ten_thousand_floors():
-    _assert_dot_matches(DOT_MATRICES[4], 10_000)
 
 
 def test_bratteli_dot_matches_on_random_primitive_matrices():
