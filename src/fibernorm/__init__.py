@@ -5,126 +5,82 @@ monodromy) this package builds, exactly: the number field of the dominant
 eigenvalue on its power-basis lattice, the trace functional on that
 lattice, the induced integer norm on second homology with its positivity
 cone, and the stationary dimension group ordering the same lattice.
+
+Public names resolve on first use: ``fibernorm.char_poly`` imports
+``fibernorm.exact`` when it is first read, so a process loads only the
+layers it touches.  Nothing is cached in this namespace; each read looks
+the name up in its defining module.
 """
 
-from .bundle import (
-    PseudoAnosovBundle,
-    SingularityData,
-    build_bundle,
-    euler_pairing_fiber,
-    h2_rank,
-    validate_singularity_data,
-)
-from .dimgroup import (
-    DimGroupElement,
-    StationaryDimGroup,
-    bratteli_dot,
-    elements_equal,
-    is_positive,
-    make_dim_group,
-    order_unit,
-    telescope,
-)
-from .exact import (
-    CertificateStatus,
-    IntMatrix,
-    IntPolynomial,
-    IrreducibilityCertificate,
-    char_poly,
-    factor_mod_p,
-    first_primes,
-    irreducibility_certificate,
-    matrix_min_poly,
-    newton_power_sums,
-)
-from .norm import (
-    ConeCounterexample,
-    ConeDescription,
-    ConeRegion,
-    DiagramMismatch,
-    NormReport,
-    cone_axiom_check,
-    cone_membership,
-    cone_points_text,
-    diagram_consistency,
-    enumerate_cone_points,
-    fiber_class_report,
-    gromov_from_thurston,
-    norm_on_h2,
-)
-from .numberfield import (
-    NumberFieldOrder,
-    TraceFunctional,
-    build_order,
-    mult_matrix,
-    norm_value,
-    trace_functional,
-    trace_via_embeddings,
-    trace_via_mult,
-    trace_via_newton,
-)
-from .perron import (
-    PerronData,
-    PositivitySign,
-    Sign,
-    eventual_positivity,
-    perron_data,
-    primitivity_check,
-)
+from importlib import import_module
 
-__all__ = [
-    "CertificateStatus",
-    "ConeCounterexample",
-    "ConeDescription",
-    "ConeRegion",
-    "DiagramMismatch",
-    "DimGroupElement",
-    "IntMatrix",
-    "IntPolynomial",
-    "IrreducibilityCertificate",
-    "NormReport",
-    "NumberFieldOrder",
-    "PerronData",
-    "PositivitySign",
-    "PseudoAnosovBundle",
-    "Sign",
-    "SingularityData",
-    "StationaryDimGroup",
-    "TraceFunctional",
-    "bratteli_dot",
-    "build_bundle",
-    "build_order",
-    "char_poly",
-    "cone_axiom_check",
-    "cone_membership",
-    "cone_points_text",
-    "diagram_consistency",
-    "elements_equal",
-    "enumerate_cone_points",
-    "euler_pairing_fiber",
-    "eventual_positivity",
-    "factor_mod_p",
-    "fiber_class_report",
-    "first_primes",
-    "gromov_from_thurston",
-    "h2_rank",
-    "irreducibility_certificate",
-    "is_positive",
-    "make_dim_group",
-    "matrix_min_poly",
-    "mult_matrix",
-    "newton_power_sums",
-    "norm_on_h2",
-    "norm_value",
-    "order_unit",
-    "perron_data",
-    "primitivity_check",
-    "telescope",
-    "trace_functional",
-    "trace_via_embeddings",
-    "trace_via_mult",
-    "trace_via_newton",
-    "validate_singularity_data",
-]
+# public name -> the module that defines it
+_SOURCE = {
+    "CertificateStatus": "exact",
+    "ConeCounterexample": "norm",
+    "ConeDescription": "norm",
+    "ConeRegion": "norm",
+    "DiagramMismatch": "norm",
+    "DimGroupElement": "dimgroup",
+    "IntMatrix": "matrix",
+    "IntPolynomial": "exact",
+    "IrreducibilityCertificate": "exact",
+    "NormReport": "norm",
+    "NumberFieldOrder": "numberfield",
+    "PerronData": "perron",
+    "PositivitySign": "perron",
+    "PseudoAnosovBundle": "bundle",
+    "Sign": "perron",
+    "SingularityData": "bundle",
+    "StationaryDimGroup": "dimgroup",
+    "TraceFunctional": "numberfield",
+    "bratteli_dot": "dimgroup",
+    "build_bundle": "bundle",
+    "build_order": "numberfield",
+    "char_poly": "exact",
+    "cone_axiom_check": "norm",
+    "cone_membership": "norm",
+    "cone_points_text": "norm",
+    "diagram_consistency": "norm",
+    "elements_equal": "dimgroup",
+    "enumerate_cone_points": "norm",
+    "euler_pairing_fiber": "bundle",
+    "eventual_positivity": "perron",
+    "factor_mod_p": "exact",
+    "fiber_class_report": "norm",
+    "first_primes": "exact",
+    "gromov_from_thurston": "norm",
+    "h2_rank": "bundle",
+    "irreducibility_certificate": "exact",
+    "is_positive": "dimgroup",
+    "make_dim_group": "dimgroup",
+    "matrix_min_poly": "exact",
+    "mult_matrix": "numberfield",
+    "newton_power_sums": "exact",
+    "norm_on_h2": "norm",
+    "norm_value": "numberfield",
+    "order_unit": "dimgroup",
+    "perron_data": "perron",
+    "primitivity_check": "perron",
+    "telescope": "dimgroup",
+    "trace_functional": "numberfield",
+    "trace_via_embeddings": "numberfield",
+    "trace_via_mult": "numberfield",
+    "trace_via_newton": "numberfield",
+    "validate_singularity_data": "bundle",
+}
+
+__all__ = list(_SOURCE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

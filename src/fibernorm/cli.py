@@ -22,6 +22,11 @@ its class name is the ``error = <Name>`` line on stdout and its
 ``exit_code`` the exit code (1 domain error or non-finite float, 2 parse
 or usage error, 3 undecided within budget).  Diagnostics go to stderr.
 
+At module level this file imports only what parsing, flags and dispatch
+need (``errors`` and ``matrix``).  Each handler imports its own layer
+when it runs, so a process loads the layers of its one subcommand and
+no others.
+
 ``cone --box r`` costs one walk over the (2r+1)^(k-2) prefixes of the
 first k-2 coordinates, one block of last two coordinates per distinct
 prefix dot product, and the output text: ``norm.cone_points_text``
@@ -33,16 +38,10 @@ box.
 import math
 import re
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .bundle import SingularityData, build_bundle, validate_singularity_data
-from .dimgroup import bratteli_dot, check_levels, make_dim_group
 from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
-from .exact import DEFAULT_PRIME_BUDGET, IntMatrix, char_poly
-from .norm import ConeDescription, cone_membership, cone_points_text, fiber_class_report
-from .numberfield import build_order, norm_value, trace_functional, trace_via_mult
-from .perron import Sign, eventual_positivity, perron_data
+from .matrix import DEFAULT_PRIME_BUDGET, IntMatrix
 
 USAGE = """\
 usage: fibernorm <subcommand> --input <path> [flags]
@@ -84,11 +83,33 @@ def _check_budget(count, what):
         raise UsageError(f"{what} enumerates more than {_OUTPUT_BUDGET} items")
 
 
-@dataclass(frozen=True)
 class InputDocument:
-    matrix: IntMatrix
-    genus: int | None = None
-    singularities: tuple[int, ...] | None = None
+    """A parsed input document: the matrix, and the bundle data or None.  Immutable."""
+
+    def __init__(self, matrix, genus=None, singularities=None):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "singularities", singularities)
+
+    def _fields(self):
+        return self.matrix, self.genus, self.singularities
+
+    def __eq__(self, other):
+        if type(other) is not InputDocument:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return "InputDocument(matrix={!r}, genus={!r}, singularities={!r})".format(*self._fields())
 
 
 # --- input document parsing --------------------------------------------------
@@ -228,10 +249,14 @@ def _require_bundle(doc):
 
 
 def _cmd_charpoly(doc, opts):
+    from .exact import char_poly
+
     return [("charpoly", char_poly(doc.matrix).coeffs)]
 
 
 def _cmd_perron(doc, opts):
+    from .perron import perron_data
+
     data = perron_data(doc.matrix)
     return [
         ("lambda", data.eigenvalue),
@@ -243,11 +268,15 @@ def _cmd_perron(doc, opts):
 
 
 def _order_and_functional(doc, opts):
+    from .numberfield import build_order, trace_functional
+
     order = build_order(doc.matrix, opts.prime_budget)
     return order, trace_functional(order)
 
 
 def _cmd_trace(doc, opts):
+    from .numberfield import trace_via_mult
+
     element = _require(opts.element, "--element")
     order, functional = _order_and_functional(doc, opts)
     return [
@@ -258,6 +287,8 @@ def _cmd_trace(doc, opts):
 
 
 def _cmd_norm(doc, opts):
+    from .numberfield import norm_value
+
     klass = _require(opts.klass, "--class")
     _, functional = _order_and_functional(doc, opts)
     return [
@@ -268,6 +299,8 @@ def _cmd_norm(doc, opts):
 
 
 def _cmd_cone(doc, opts):
+    from .norm import ConeDescription, cone_membership, cone_points_text
+
     if opts.klass is None and opts.box is None:
         raise UsageError("cone needs --class and/or --box")
     _, functional = _order_and_functional(doc, opts)
@@ -283,6 +316,8 @@ def _cmd_cone(doc, opts):
 
 
 def _cmd_validate(doc, opts):
+    from .bundle import SingularityData, validate_singularity_data
+
     _require_bundle(doc)
     sing = SingularityData(doc.singularities)
     rank = validate_singularity_data(doc.genus, sing)
@@ -295,6 +330,8 @@ def _cmd_validate(doc, opts):
 
 
 def _cmd_dimgroup(doc, opts):
+    from .perron import Sign, eventual_positivity
+
     # Telescoping does not change the sign, so the stage is only echoed.
     vector = opts.vector if opts.vector is not None else (1,) * doc.matrix.k
     sign = eventual_positivity(doc.matrix, vector)
@@ -311,6 +348,8 @@ def _cmd_dimgroup(doc, opts):
 
 
 def _cmd_bratteli(doc, opts):
+    from .dimgroup import bratteli_dot, check_levels, make_dim_group
+
     group = make_dim_group(doc.matrix)
     check_levels(opts.levels)
     vertex_count = opts.levels * doc.matrix.k
@@ -326,6 +365,9 @@ def _cmd_bratteli(doc, opts):
 
 
 def _cmd_report(doc, opts):
+    from .bundle import SingularityData, build_bundle
+    from .norm import fiber_class_report
+
     _require_bundle(doc)
     fiber = _require(opts.fiber_class, "--fiber-class")
     sing = SingularityData(doc.singularities)

@@ -1,4 +1,4 @@
-"""Exact integer polynomials, square integer matrices, and certificates.
+"""Exact integer polynomials, polynomials of integer matrices, and certificates.
 
 Everything in this module is arbitrary precision and uses only exact
 arithmetic (the characteristic polynomial comes from one solve modulo a
@@ -8,12 +8,6 @@ are bit-for-bit reproducible.  Floats enter only the search for a rational
 factor of degree 2 or more (integer roots are found exactly, by Hensel
 lifting): numeric roots propose candidate factors, and only an exact
 division accepts one.  All values are immutable once built.
-
-``int_vector`` is the one rule for integer vectors across the package:
-matrix rows, polynomial coefficients, classes, field elements,
-dimension-group vectors and prong counts all pass through it, so a
-float or a string is a TypeError everywhere, never truncated or parsed
-into a wrong answer.
 """
 
 import cmath
@@ -23,7 +17,8 @@ from enum import Enum
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import BadReductionPrime, DimensionMismatch, NoConvergence
+from .errors import BadReductionPrime, NoConvergence
+from .matrix import DEFAULT_PRIME_BUDGET, IntMatrix, int_vector
 from .roots import complex_roots
 
 # Past this degree no rational factor is searched for (at most 162 root
@@ -32,8 +27,6 @@ _FACTOR_SEARCH_MAX_DEGREE = 8
 
 # The factor search runs once this many primes in a row narrow nothing.
 _STALL_PRIMES = 4
-
-DEFAULT_PRIME_BUDGET = 10
 
 # char_poly's choice between its two exact paths, set from timings of both
 # on seeded random matrices: Berkowitz's recursion is the faster at and
@@ -48,24 +41,6 @@ _MERSENNE = 2**61 - 1  # a prime: the Krylov solve runs modulo a power of it
 
 # IntPolynomial._squarefree_q before _squarefree_prime has run on it
 _UNKNOWN = object()
-
-
-def int_vector(values, length=None, what="vector"):
-    """The entries of values as a tuple, every one an int (bool included).
-
-    Raises DimensionMismatch when a required length is not met and
-    TypeError for any entry that is not an int: nothing is converted.
-
-    >>> int_vector([3, -1])
-    (3, -1)
-    """
-    out = tuple(values)
-    if length is not None and len(out) != length:
-        raise DimensionMismatch(f"{what} has length {len(out)}, expected {length}")
-    for x in out:
-        if not isinstance(x, int):
-            raise TypeError(f"{what} entries must be integers, got {type(x).__name__}")
-    return out
 
 
 class IntPolynomial:
@@ -169,99 +144,6 @@ class IntPolynomial:
                 for j, b in enumerate(d):
                     rem[i + j] -= c * b
         return IntPolynomial(quot), IntPolynomial(rem)
-
-
-class IntMatrix:
-    """Square matrix of arbitrary-precision integers.  Immutable."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        tupled = tuple(int_vector(row, what="matrix row") for row in rows)
-        if not tupled:
-            raise ValueError("matrix must have at least one row")
-        k = len(tupled)
-        if any(len(row) != k for row in tupled):
-            raise ValueError("matrix must be square")
-        self.rows = tupled
-
-    @classmethod
-    def identity(cls, k):
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
-    @property
-    def k(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._check_same_size(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._check_same_size(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix([[other * x for x in row] for row in self.rows])
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._check_same_size(other)
-        cols = other.transpose().rows
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
-        )
-
-    __rmul__ = __mul__  # int scalars commute; anything else is a TypeError
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("matrix powers need a nonnegative integer exponent")
-        result = IntMatrix.identity(self.k)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def apply(self, vector):
-        """Matrix times column vector, as a tuple of ints."""
-        v = int_vector(vector, self.k)
-        return tuple(sum(map(mul, row, v)) for row in self.rows)
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.k))
-
-    def transpose(self):
-        return IntMatrix(list(zip(*self.rows)))
-
-    def _check_same_size(self, other):
-        if self.k != other.k:
-            raise ValueError("matrix sizes differ")
 
 
 def char_poly(A):
