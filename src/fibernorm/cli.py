@@ -35,13 +35,14 @@ formatting.  Its budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k
 box.
 """
 
+import collections
 import math
 import re
 import sys
 from types import SimpleNamespace
 
 from .errors import FibernormError, NoConvergence, ParseError, PositivityUndecided, UsageError
-from .matrix import DEFAULT_PRIME_BUDGET, IntMatrix
+from .matrix import IntMatrix
 
 USAGE = """\
 usage: fibernorm <subcommand> --input <path> [flags]
@@ -59,7 +60,6 @@ subcommands:
 
 flags:
   --input <path>        input document (required)
-  --prime-budget <int>  reduction primes to try      (default 10)
   --element [a0,...]    field element coordinates
   --class [z1,...]      homology class
   --fiber-class [z1,...] claimed fiber class
@@ -83,33 +83,10 @@ def _check_budget(count, what):
         raise UsageError(f"{what} enumerates more than {_OUTPUT_BUDGET} items")
 
 
-class InputDocument:
-    """A parsed input document: the matrix, and the bundle data or None.  Immutable."""
-
-    def __init__(self, matrix, genus=None, singularities=None):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "singularities", singularities)
-
-    def _fields(self):
-        return self.matrix, self.genus, self.singularities
-
-    def __eq__(self, other):
-        if type(other) is not InputDocument:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return "InputDocument(matrix={!r}, genus={!r}, singularities={!r})".format(*self._fields())
+# A parsed input document: the matrix, and the bundle data or None.
+InputDocument = collections.namedtuple(
+    "InputDocument", "matrix genus singularities", defaults=(None, None)
+)
 
 
 # --- input document parsing --------------------------------------------------
@@ -270,7 +247,7 @@ def _cmd_perron(doc, opts):
 def _order_and_functional(doc, opts):
     from .numberfield import build_order, trace_functional
 
-    order = build_order(doc.matrix, opts.prime_budget)
+    order = build_order(doc.matrix)
     return order, trace_functional(order)
 
 
@@ -372,7 +349,7 @@ def _cmd_report(doc, opts):
     fiber = _require(opts.fiber_class, "--fiber-class")
     sing = SingularityData(doc.singularities)
     bundle = build_bundle(doc.genus, sing, doc.matrix)
-    report = fiber_class_report(bundle, fiber, opts.prime_budget)
+    report = fiber_class_report(bundle, fiber)
     pairs = [
         ("genus", report.genus),
         ("singularities", report.singularities),
@@ -421,8 +398,6 @@ def _checked(convert, accept):
 # rejects a value by raising ValueError or ParseError.
 _FLAGS = {
     "--input": ("input", str, "a path", None),
-    "--prime-budget": ("prime_budget", _checked(_parse_int, lambda n: n >= 1), "an integer >= 1",
-                       DEFAULT_PRIME_BUDGET),
     "--element": ("element", _parse_bracket_int_list, "[i,j,...]", None),
     "--class": ("klass", _parse_bracket_int_list, "[i,j,...]", None),
     "--fiber-class": ("fiber_class", _parse_bracket_int_list, "[i,j,...]", None),

@@ -46,10 +46,10 @@ def telescope(group, element, new_stage):
     """Move an element to a later stage: (v, n) -> (A^{n'-n} v, n').
 
     A^m v is computed by right-to-left binary powering while more than 2k
-    steps remain, since one squaring, done column by column, costs k
-    matrix-vector products: at most floor(log2 m) squarings, then at most
-    2k plain steps with the current power.  For m <= 2k that is m plain
-    steps with A.
+    steps remain, since one squaring, power * power, costs about what k
+    matrix-vector products do: at most floor(log2 m) squarings, then at
+    most 2k plain steps with the current power.  For m <= 2k that is m
+    plain steps with A.
     """
     v = int_vector(element.v, group.k, "element vector")
     (new_stage,) = int_vector((new_stage,), what="stage")
@@ -61,7 +61,7 @@ def telescope(group, element, new_stage):
     while steps > 2 * group.k:
         if steps & 1:
             v = power.apply(v)
-        power, steps = IntMatrix(zip(*map(power.apply, zip(*power.rows)))), steps >> 1
+        power, steps = power * power, steps >> 1
     for _ in range(steps):
         v = power.apply(v)
     return DimGroupElement(v, new_stage)

@@ -43,7 +43,7 @@ class NotAField(FibernormError):
 
 
 class IrreducibilityUnverified(FibernormError):
-    """Irreducibility could not be decided within the prime budget."""
+    """Irreducibility could not be decided from the primes the certificate reads."""
 
     exit_code = 3
 

@@ -18,14 +18,26 @@ from math import gcd, isqrt
 from operator import mul
 
 from .errors import BadReductionPrime, NoConvergence
-from .matrix import DEFAULT_PRIME_BUDGET, IntMatrix, int_vector
+from .matrix import IntMatrix, int_vector
 from .roots import complex_roots
 
 # Past this degree no rational factor is searched for (at most 162 root
 # subsets below it); the certificate stays Undecided.
 _FACTOR_SEARCH_MAX_DEGREE = 8
 
-# The factor search runs once this many primes in a row narrow nothing.
+# The reduction primes read: _squarefree_prime and the certificate try the
+# first _CERTIFICATE_PRIMES primes, and no caller sets the count.  Measured
+# on the char polys of seeded random primitive 0-2 matrices: of 720 at
+# k = 8-32, the first 10 primes left 8 Undecided, and all 8 are Irreducible
+# after 11-18 primes; of 2,360 at k = 4-24, every one that 100 primes
+# decide needs at most 15.  A polynomial that no count decides (x^4 + 1
+# splits mod every prime) pays for all of them.
+_CERTIFICATE_PRIMES = 20
+
+# The factor search runs once this many primes in a row narrow nothing, so
+# a reducible polynomial of degree at most 8 with no integer root, whose
+# patterns never empty the open degrees, is found after _STALL_PRIMES
+# primes, not after all _CERTIFICATE_PRIMES.
 _STALL_PRIMES = 4
 
 # char_poly's choice between its two exact paths, set from timings of both
@@ -428,7 +440,7 @@ def _fp_powmod(base, exponent, modulus, q):
 def _squarefree_prime(p):
     """The first prime q with p squarefree mod q, or None.
 
-    The first DEFAULT_PRIME_BUDGET primes are tried, each generated only
+    The first _CERTIFICATE_PRIMES primes are tried, each generated only
     when reached.  gcd(p mod q, p' mod q) = 1 means no repeated root over
     the algebraic closure of F_q.  p is
     monic, so a square factor over Q stays a square factor mod every q,
@@ -439,7 +451,7 @@ def _squarefree_prime(p):
     if p._squarefree_q is _UNKNOWN:
         p._squarefree_q = None
         derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
-        for q in itertools.islice(_primes(), DEFAULT_PRIME_BUDGET):
+        for q in itertools.islice(_primes(), _CERTIFICATE_PRIMES):
             if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
                 p._squarefree_q = q
                 break
@@ -582,7 +594,7 @@ def _factor_from_roots(p, candidate_degrees):
     return None
 
 
-def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
+def irreducibility_certificate(p):
     """Certify irreducibility of a monic integer polynomial over Q.
 
     First an exact test for a linear factor: when p has degree at least 2
@@ -592,14 +604,15 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     squarefree) and found none, no factor has degree 1 or k - 1, so the
     open degrees start at 2 .. k - 2, else at 1 .. k - 1.  A monic factor
     of degree d reduces mod every prime to factors whose degrees sum to
-    d, so each prime, generated only when the loop reaches it, keeps the
-    open degrees that are subset sums of its pattern: none left proves
-    irreducibility, at the first prime for a quadratic or cubic.  If
-    degrees stay open (and the degree is at most 8), products of the
-    numeric roots propose integer factors of those degrees, and exact
-    division decides: Reducible only with a factor that divides p.  The
-    search runs once: when _STALL_PRIMES primes in a row narrow nothing,
-    or at the last prime.  Anything else is Undecided, as is x^4 + 1,
+    d, so each of the first _CERTIFICATE_PRIMES primes, generated only
+    when the loop reaches it, keeps the open degrees that are subset sums
+    of its pattern: none left proves irreducibility, at the first prime
+    for a quadratic or cubic.  If degrees stay open (and the degree is at
+    most 8), products of the numeric roots propose integer factors of
+    those degrees, and exact division decides: Reducible only with a
+    factor that divides p.  The search runs once: when _STALL_PRIMES
+    primes in a row narrow nothing, or at the last prime.  Anything else
+    is Undecided after all _CERTIFICATE_PRIMES primes, as is x^4 + 1,
     irreducible but with degree 2 open at every prime.
 
     >>> irreducibility_certificate(IntPolynomial([-2, 0, 0, 1])).patterns
@@ -607,9 +620,6 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     """
     if not p.is_monic or p.degree < 1:
         raise ValueError("certificate needs a monic polynomial of degree >= 1")
-    (prime_budget,) = int_vector((prime_budget,), what="prime budget")
-    if prime_budget < 1:
-        raise ValueError("prime budget must be at least 1")
     k = p.degree
     root = _least_integer_root(p) if k >= 2 else None
     if root is not None:
@@ -625,7 +635,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
     patterns = ()
     stalled = 0
     searched = False
-    for q in itertools.islice(_primes(), prime_budget):
+    for q in itertools.islice(_primes(), _CERTIFICATE_PRIMES):
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
         narrowed = possible & _proper_subset_sums(degrees, k)
@@ -638,7 +648,7 @@ def irreducibility_certificate(p, prime_budget=DEFAULT_PRIME_BUDGET):
                 factor_degrees=(k,),
                 patterns=patterns,
             )
-        if not searched and (stalled == _STALL_PRIMES or len(patterns) == prime_budget):
+        if not searched and (stalled == _STALL_PRIMES or len(patterns) == _CERTIFICATE_PRIMES):
             searched = True
             factor = _factor_from_roots(p, possible)
             if factor is not None:

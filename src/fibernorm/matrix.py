@@ -8,17 +8,12 @@ into a wrong answer.
 
 Of the package this module imports only ``errors``, so the command line
 parses its input document without loading the exact kernels (``exact``
-re-exports ``int_vector``, ``IntMatrix`` and ``DEFAULT_PRIME_BUDGET``).
+re-exports ``int_vector`` and ``IntMatrix``).
 """
 
 from operator import mul
 
 from .errors import DimensionMismatch
-
-# Reduction primes a certificate reads unless told otherwise.  Kept here,
-# beside the integer rules, so that the command line's flag table reads
-# it without importing ``exact``.
-DEFAULT_PRIME_BUDGET = 10
 
 
 def int_vector(values, length=None, what="vector"):

@@ -25,7 +25,7 @@ from operator import add, mul
 
 from .bundle import euler_pairing_fiber
 from .errors import NegativeNorm
-from .exact import DEFAULT_PRIME_BUDGET, IntPolynomial, int_vector
+from .exact import IntPolynomial, int_vector
 from .numberfield import TraceFunctional, build_order, norm_value, trace_functional
 
 
@@ -89,9 +89,9 @@ class NormReport:
     negative_fiber_norm: bool
 
 
-def norm_on_h2(bundle, prime_budget=DEFAULT_PRIME_BUDGET):
+def norm_on_h2(bundle):
     """Trace functional of the order built from the bundle's action matrix."""
-    return trace_functional(build_order(bundle.action, prime_budget))
+    return trace_functional(build_order(bundle.action))
 
 
 def cone_membership(cone, z):
@@ -288,14 +288,14 @@ def diagram_consistency(cone, basis_values):
     return None
 
 
-def fiber_class_report(bundle, z_fiber, prime_budget=DEFAULT_PRIME_BUDGET):
+def fiber_class_report(bundle, z_fiber):
     """Measure the norm on a claimed fiber class and report, never assert.
 
     The caller reads the discrepancy against the genus target 2g-2; the
     report also carries the doubled (simplicial) value and the Euler
     pairing of the fiber.
     """
-    order = build_order(bundle.action, prime_budget)
+    order = build_order(bundle.action)
     functional = trace_functional(order)
     z = int_vector(z_fiber, bundle.rank, "class")
     n = norm_value(functional, z)

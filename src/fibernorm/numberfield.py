@@ -23,7 +23,6 @@ from .errors import (
     NotAField,
 )
 from .exact import (
-    DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
     char_poly,  # noqa: F401  (numberfield.char_poly stays bound for callers)
@@ -33,6 +32,9 @@ from .exact import (
     newton_power_sums,
 )
 from .roots import complex_roots
+
+# How far trace_via_embeddings' float sum may lie from an integer.
+_EMBEDDING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class NumberFieldOrder:
         return f"NumberFieldOrder(min_poly={list(self.min_poly.coeffs)!r})"
 
 
-def build_order(A, prime_budget=DEFAULT_PRIME_BUDGET):
+def build_order(A):
     """The field of the matrix: order with the characteristic polynomial.
 
     Requires the characteristic polynomial to be the minimal polynomial
@@ -88,19 +90,19 @@ def build_order(A, prime_budget=DEFAULT_PRIME_BUDGET):
     comes from matrix_min_poly, which computes the characteristic
     polynomial once and returns it when it is squarefree mod a small
     prime.  Then an order costs one char_poly and one certificate.
-    DegenerateMonodromy is raised before prime_budget is checked.
+    DegenerateMonodromy is raised before the certificate reads a prime.
     """
     min_poly = matrix_min_poly(A)
     if min_poly.degree != A.k or A.k < 2:
         raise DegenerateMonodromy(
             "characteristic and minimal polynomial differ (or degree < 2)"
         )
-    certificate = irreducibility_certificate(min_poly, prime_budget)
+    certificate = irreducibility_certificate(min_poly)
     if certificate.status is CertificateStatus.REDUCIBLE:
         raise NotAField(f"characteristic polynomial splits: degrees {certificate.factor_degrees}")
     if certificate.status is CertificateStatus.UNDECIDED:
         raise IrreducibilityUnverified(
-            f"irreducibility undecided within the first {prime_budget} primes"
+            f"irreducibility undecided within the first {len(certificate.patterns)} primes"
         )
     return NumberFieldOrder(min_poly, certificate)
 
@@ -128,13 +130,14 @@ def trace_via_newton(order, a):
     return sum(c * t for c, t in zip(coords, order._traces))
 
 
-def trace_via_embeddings(order, a, tol=1e-8):
+def trace_via_embeddings(order, a):
     """Trace by summing the element over all complex embeddings.
 
     Purely a numeric cross-check: the sum must be finite and land within
-    tol of an integer, or EmbeddingMismatch is raised to flag a
-    root-finding or logic bug.  So does a sum whose float spacing exceeds
-    tol, since at that size every float passes the integer test.
+    _EMBEDDING_TOL of an integer, or EmbeddingMismatch is raised to flag
+    a root-finding or logic bug.  So does a sum whose float spacing
+    exceeds _EMBEDDING_TOL, since at that size every float passes the
+    integer test.
     """
     coords = order.element(a)
     total = 0j
@@ -143,11 +146,11 @@ def trace_via_embeddings(order, a, tol=1e-8):
         for c in reversed(coords):
             value = value * root + c
         total += value
-    if not cmath.isfinite(total) or math.ulp(total.real) > tol:
-        raise EmbeddingMismatch(f"embedding sum {total} cannot be checked within {tol}")
+    if not cmath.isfinite(total) or math.ulp(total.real) > _EMBEDDING_TOL:
+        raise EmbeddingMismatch(f"embedding sum {total} cannot be checked within {_EMBEDDING_TOL}")
     nearest = round(total.real)
-    if abs(total.imag) > tol or abs(total.real - nearest) > tol:
-        raise EmbeddingMismatch(f"embedding sum {total} is not integral within {tol}")
+    if abs(total.imag) > _EMBEDDING_TOL or abs(total.real - nearest) > _EMBEDDING_TOL:
+        raise EmbeddingMismatch(f"embedding sum {total} is not integral within {_EMBEDDING_TOL}")
     return nearest
 
 

@@ -1,7 +1,9 @@
 """Input grammar, subcommand dispatch, report rendering, exit codes."""
 
+import copy
 import io
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -104,6 +106,43 @@ def test_round_trip_through_serialize():
     assert parse_input(serialize_input(doc)) == doc
 
 
+def test_input_document_contract():
+    matrix = IntMatrix([[0, 1], [1, 1]])
+    # keyword and positional construction; the bundle data default to None
+    doc = InputDocument(matrix=matrix, genus=2, singularities=(3, 3, 3, 3))
+    assert doc == InputDocument(matrix, 2, (3, 3, 3, 3))
+    assert (doc.matrix, doc.genus, doc.singularities) == (matrix, 2, (3, 3, 3, 3))
+    bare = InputDocument(matrix)
+    assert (bare.genus, bare.singularities) == (None, None)
+    assert bare == InputDocument(matrix=matrix) == parse_input("matrix = [[0,1],[1,1]]\n")
+    # equal documents are equal and hash alike; a changed field is not equal
+    again = InputDocument(IntMatrix([[0, 1], [1, 1]]), 2, (3, 3, 3, 3))
+    assert doc == again and hash(doc) == hash(again)
+    assert len({doc, again, bare}) == 2
+    assert doc != InputDocument(matrix, 3, (3, 3, 3, 3)) and doc != bare
+    assert repr(doc) == (
+        "InputDocument(matrix=IntMatrix([[0, 1], [1, 1]]), genus=2, singularities=(3, 3, 3, 3))"
+    )
+    assert repr(bare) == (
+        "InputDocument(matrix=IntMatrix([[0, 1], [1, 1]]), genus=None, singularities=None)"
+    )
+    # immutable: no field can be assigned or deleted, and none added
+    for name in ("matrix", "genus", "singularities", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(doc, name, None)
+    for name in ("matrix", "genus", "singularities"):
+        with pytest.raises(AttributeError):
+            delattr(doc, name)
+    assert doc == again
+    # copies and pickles are equal documents
+    for copied in (copy.copy(doc), copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+        assert type(copied) is InputDocument
+        assert copied == doc and hash(copied) == hash(doc)
+    # the text form round-trips both kinds of document
+    for document in (doc, bare):
+        assert parse_input(serialize_input(document)) == document
+
+
 def test_write_report_orders_keys_and_formats_values():
     # keys come out in the order given: each handler fixes its own order
     text = write_report([("trace", 5), ("genus", 2), ("gap", 0.25), ("class", (1, -2))])
@@ -136,20 +175,38 @@ def test_trace_subcommand(tmp_path):
     code, out, _ = run_cli(["trace", "--input", path, "--element", "[1,1]"])
     assert code == 0
     assert out == "trace_functional = [2,3]\nelement = [1,1]\ntrace = 5\n"
-    # decided at the first prime, so a huge budget costs nothing
-    code, again, _ = run_cli(
-        ["trace", "--input", path, "--element", "[1,1]", "--prime-budget", "100000000"]
-    )
-    assert (code, again) == (0, out)
 
 
 def test_trace_is_decided_when_the_root_test_closes_the_open_degrees(tmp_path):
-    # x^2 - 5x - 2 is x(x + 1) mod 2, the one prime of the budget, which
-    # would leave degree 1 open; the exact root test, which found no integer
-    # root, closed it before that prime
+    # x^2 - 5x - 2 is x(x + 1) mod 2, which would leave degree 1 open; the
+    # exact root test, which found no integer root, closed it before that
+    # prime, so the certificate reads that one prime only
     path = write_doc(tmp_path, "m.txt", "matrix = [[1,2],[3,4]]\n")
-    code, out, _ = run_cli(["trace", "--input", path, "--element", "[1,0]", "--prime-budget", "1"])
+    code, out, _ = run_cli(["trace", "--input", path, "--element", "[1,0]"])
     assert (code, out) == (0, "trace_functional = [2,5]\nelement = [1,0]\ntrace = 2\n")
+    certificate = build_order(IntMatrix([[1, 2], [3, 4]])).certificate
+    assert certificate.patterns == ((2, (1, 1)),)
+    assert len(certificate.patterns) == 1
+
+
+def test_trace_is_decided_when_the_certificate_needs_eleven_primes(tmp_path):
+    # the 173rd primitive matrix drawn from random.Random(7008) with
+    # rng.choice((0, 1, 2)) per entry, row by row: its char poly
+    # x^8 - 7x^7 - 9x^6 + 7x^5 + 37x^4 + 75x^3 - 139x^2 + 93x - 12 is
+    # proved irreducible at the 11th prime (IrreducibilityUnverified, exit 3,
+    # when certificates read ten)
+    rows = (
+        "[[0,1,1,2,1,2,0,1],[0,2,0,1,0,1,1,0],[0,1,2,2,1,1,2,2],[2,2,0,0,0,1,2,1],"
+        "[2,2,1,1,0,2,0,1],[1,1,2,1,0,2,0,2],[2,2,2,0,0,0,1,0],[1,2,0,1,2,1,2,0]]"
+    )
+    path = write_doc(tmp_path, "k8.txt", f"matrix = {rows}\n")
+    code, out, _ = run_cli(["trace", "--input", path, "--element", "[0,1,0,0,0,0,0,0]"])
+    assert (code, out) == (
+        0,
+        "trace_functional = [8,7,67,511,3983,31377,249739,1979075]\n"
+        "element = [0,1,0,0,0,0,0,0]\n"
+        "trace = 7\n",
+    )
 
 
 def test_norm_subcommand(tmp_path):
@@ -345,7 +402,10 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["trace", "--input", quad], 2, "UsageError"),  # missing --element
         (["charpoly", "--input", str(tmp_path / "missing.txt")], 2, "UsageError"),
         (["charpoly", "--input", quad, "--format", "xml"], 2, "UsageError"),
-        (["charpoly", "--input", quad, "--prime-budget", "0"], 2, "UsageError"),
+        # the certificate reads a fixed number of primes: no flag sets it
+        (["charpoly", "--input", quad, "--prime-budget", "5"], 2, "UsageError"),
+        (["trace", "--input", quad, "--element", "[1,1]", "--prime-budget", "5"], 2,
+         "UsageError"),
         (["charpoly", "--input", quad, "--box", "-1"], 2, "UsageError"),
         # perron takes no tolerance or iteration limit: both are unknown flags
         (["perron", "--input", quad, "--tol", "1e-12"], 2, "UsageError"),
@@ -358,8 +418,6 @@ def test_exit_codes_and_error_lines(tmp_path):
          "IrreducibilityUnverified"),
         (["trace", "--input", huge, "--element", "[1,1]"], 1, "NotAField"),
         (["trace", "--input", root_one, "--element", "[1,0,0,0,0,0,0,0,0,0]"], 1, "NotAField"),
-        (["trace", "--input", huge, "--element", "[1,1]", "--prime-budget", "100000000"], 1,
-         "NotAField"),
         (["dimgroup", "--input", oscillating, "--vector", "[1,-1]"], 3, "PositivityUndecided"),
         (["validate", "--input", quad], 2, "UsageError"),  # matrix-only doc, bundle subcommand
         (["charpoly", "--input", superscript], 2, "ParseError"),
@@ -373,8 +431,6 @@ def test_exit_codes_and_error_lines(tmp_path):
         (["cone", "--input", quad, "--box", "1_0"], 2, "UsageError"),
         (["bratteli", "--input", quad, "--levels", "\u0663"], 2, "UsageError"),
         (["dimgroup", "--input", quad, "--stage", "1_0"], 2, "UsageError"),
-        (["trace", "--input", quad, "--element", "[1,1]", "--prime-budget", "1_0"], 2,
-         "UsageError"),
         (["cone", "--input", quad, "--box", "1000"], 2, "UsageError"),  # 2001^2 points
         (["bratteli", "--input", quad, "--levels", "1000000", "--format", "dot"], 2,
          "UsageError"),

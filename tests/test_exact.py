@@ -19,7 +19,6 @@ import pytest
 from fibernorm import exact
 from fibernorm.errors import BadReductionPrime
 from fibernorm.exact import (
-    DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
@@ -409,7 +408,7 @@ def test_min_poly_on_derogatory_and_nilpotent_matrices():
 
 def test_min_poly_falls_back_to_elimination_when_no_prime_shows_squarefree(monkeypatch):
     # x^2 - P x is squarefree over Q, but x^2 mod every prime the shortcut tries
-    P = math.prod(first_primes(DEFAULT_PRIME_BUDGET))
+    P = math.prod(first_primes(exact._CERTIFICATE_PRIMES))
     eliminated = []
     original = exact._min_poly_by_elimination
 
@@ -518,19 +517,19 @@ def test_factor_mod_p_matches_trial_division_random_f5():
 # --- irreducibility certificates --------------------------------------------------
 
 def test_certificate_examples():
-    cert = irreducibility_certificate(IntPolynomial([1, -3, 1]), 5)
+    cert = irreducibility_certificate(IntPolynomial([1, -3, 1]))
     assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime == 2
     assert cert.factor_degrees == (2,)
 
     # x^3 - x^2 - x - 1 has no integer root, so a cubic has no factor left
     # to rule out: the first prime decides, and it need not keep p whole
-    cert = irreducibility_certificate(IntPolynomial([-1, -1, -1, 1]), 5)
+    cert = irreducibility_certificate(IntPolynomial([-1, -1, -1, 1]))
     assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime is None
     assert cert.patterns == ((2, (1, 1, 1)),)
 
-    cert = irreducibility_certificate(IntPolynomial([-1, 0, 1]), 5)
+    cert = irreducibility_certificate(IntPolynomial([-1, 0, 1]))
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
     assert cert.factor in (IntPolynomial([-1, 1]), IntPolynomial([1, 1]))
@@ -542,7 +541,7 @@ def test_certificate_witness_is_checkable():
     while seen < 25:
         degree = rng.randint(2, 5)
         p = IntPolynomial([rng.randint(-5, 5) for _ in range(degree)] + [1])
-        cert = irreducibility_certificate(p, 10)
+        cert = irreducibility_certificate(p)
         if cert.status is CertificateStatus.IRREDUCIBLE:
             seen += 1
             if cert.witness_prime is not None:
@@ -573,7 +572,7 @@ def test_certificate_patterns_prove_irreducibility_without_a_witness(monkeypatch
     # x^4 - 2x^3 - x^2 - 3x - 3 has no integer root, so only degree 2 is
     # open, and the (1,3) split mod 2 closes it.
     p = IntPolynomial([-3, -3, -1, -2, 1])
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime is None
     assert cert.patterns == ((2, (1, 3)),)
@@ -581,7 +580,7 @@ def test_certificate_patterns_prove_irreducibility_without_a_witness(monkeypatch
     # and (2,2) mod 5: no prime keeps it whole, yet no proper degree
     # survives all three.
     monkeypatch.setattr(exact, "_squarefree_prime", lambda p: None)
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime is None
     assert cert.patterns == ((2, (1, 3)), (3, (1, 1, 2)), (5, (2, 2)))
@@ -593,7 +592,7 @@ def test_certificate_finds_built_reducible_products():
         f = IntPolynomial([rng.randint(-2, 2) for _ in range(rng.randint(1, 2))] + [1])
         g = IntPolynomial([rng.randint(-2, 2) for _ in range(rng.randint(1, 2))] + [1])
         product = f * g
-        cert = irreducibility_certificate(product, 10)
+        cert = irreducibility_certificate(product)
         assert cert.status is CertificateStatus.REDUCIBLE
         assert sum(cert.factor_degrees) == product.degree
         assert cert.factor.degree in cert.factor_degrees
@@ -602,18 +601,18 @@ def test_certificate_finds_built_reducible_products():
 
 def test_certificate_square_is_reducible():
     square = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1])
-    cert = irreducibility_certificate(square, 5)
+    cert = irreducibility_certificate(square)
     assert cert.status is CertificateStatus.REDUCIBLE
 
 
 def test_certificate_divisor_enumeration_is_bounded():
     # Large constant terms once meant enumerating their divisors; the
     # integer-root test finds the factor, so its size costs nothing.
-    cert = irreducibility_certificate(IntPolynomial([-16_000_000, 0, 1]), 10)
+    cert = irreducibility_certificate(IntPolynomial([-16_000_000, 0, 1]))
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
     start = time.perf_counter()
-    cert = irreducibility_certificate(IntPolynomial([-(10**12), 0, 1]), 10)
+    cert = irreducibility_certificate(IntPolynomial([-(10**12), 0, 1]))
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
     assert cert.factor in (IntPolynomial([-(10**6), 1]), IntPolynomial([10**6, 1]))
@@ -626,23 +625,23 @@ def test_certificate_undecided_when_roots_do_not_fit_a_float():
     # factor is proposed.
     p = IntPolynomial([-2, 0, 1]) * IntPolynomial([3, 2**1100, 1])
     assert exact._least_integer_root(p) is None
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.UNDECIDED
     assert cert.factor is None
-    assert len(cert.patterns) == 10
+    assert len(cert.patterns) == exact._CERTIFICATE_PRIMES
 
 
 def test_certificate_finds_an_integer_root_that_does_not_fit_a_float():
     # (x - 2^1100)(x + 1): its roots overflow a float, but the lifted
     # roots are exact at any size.
     p = IntPolynomial([-(2**1100), 1]) * IntPolynomial([1, 1])
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor == IntPolynomial([1, 1])
     assert (cert.factor_degrees, cert.patterns, cert.witness_prime) == ((1, 1), (), None)
     # the least root wins even when it is the huge one
     p = IntPolynomial([2**1100, 1]) * IntPolynomial([-3, 1]) * IntPolynomial([1, 0, 1])
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.factor == IntPolynomial([2**1100, 1])
     assert cert.factor_degrees == (1, 3)
 
@@ -696,11 +695,11 @@ def test_certificate_returns_the_least_integer_root_without_reading_primes():
     rng = random.Random(7)
     for p in _linear_products(rng, 60):
         if p.degree < 2:  # x - r is irreducible: nothing to split off
-            assert irreducibility_certificate(p, 10).status is CertificateStatus.IRREDUCIBLE
+            assert irreducibility_certificate(p).status is CertificateStatus.IRREDUCIBLE
             continue
         if exact._squarefree_prime(p) is None:
             continue
-        cert = irreducibility_certificate(p, 10)
+        cert = irreducibility_certificate(p)
         least = min(_integer_roots_oracle(p.coeffs))
         assert cert.status is CertificateStatus.REDUCIBLE
         assert cert.factor == IntPolynomial([-least, 1])
@@ -728,11 +727,11 @@ def test_least_integer_root_examples():
 def test_nothing_is_claimed_when_no_budget_prime_shows_p_squarefree():
     # x^2 - P x = x (x - P) is x^2 mod every prime tried, so the lift never
     # starts; the patterns and the float search decide as before.
-    P = math.prod(first_primes(DEFAULT_PRIME_BUDGET))
+    P = math.prod(first_primes(exact._CERTIFICATE_PRIMES))
     p = IntPolynomial([0, -P, 1])
     assert exact._squarefree_prime(p) is None
     assert exact._least_integer_root(p) is None
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.patterns  # reached through the prime loop
     assert p.div_rem(cert.factor)[1].is_zero
@@ -749,9 +748,9 @@ def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
         IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [1])
         for _ in range(150)
     ]
-    with_roots = [irreducibility_certificate(p, 10) for p in polys]
+    with_roots = [irreducibility_certificate(p) for p in polys]
     monkeypatch.setattr(exact, "_squarefree_prime", lambda p: None)
-    without = [irreducibility_certificate(p, 10) for p in polys]
+    without = [irreducibility_certificate(p) for p in polys]
     irreducible = 0
     for new, old in zip(with_roots, without):
         if old.status is CertificateStatus.IRREDUCIBLE:
@@ -763,7 +762,7 @@ def test_irreducible_certificates_do_not_depend_on_the_root_test(monkeypatch):
     assert irreducible > 50
 
 
-def _certificate_searching_every_open_degree(p, prime_budget):
+def _certificate_searching_every_open_degree(p):
     """The certificate rule that closes degrees 1 and k - 1 last.
 
     The same prime loop as irreducibility_certificate, except that the
@@ -778,7 +777,7 @@ def _certificate_searching_every_open_degree(p, prime_budget):
             CertificateStatus.REDUCIBLE, factor_degrees=(1, k - 1), factor=IntPolynomial([-root, 1])
         )
     possible, patterns, stalled, searched = set(range(1, k)), (), 0, False
-    for q in itertools.islice(exact._primes(), prime_budget):
+    for q in itertools.islice(exact._primes(), exact._CERTIFICATE_PRIMES):
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
         narrowed = possible & exact._proper_subset_sums(degrees, k)
@@ -791,7 +790,9 @@ def _certificate_searching_every_open_degree(p, prime_budget):
                 factor_degrees=(k,),
                 patterns=patterns,
             )
-        if not searched and (stalled == exact._STALL_PRIMES or len(patterns) == prime_budget):
+        if not searched and (
+            stalled == exact._STALL_PRIMES or len(patterns) == exact._CERTIFICATE_PRIMES
+        ):
             searched = True
             factor = exact._factor_from_roots(p, possible)
             if factor is not None:
@@ -833,16 +834,15 @@ def test_factor_search_skips_degrees_the_root_test_ruled_out():
     # last, read from a prefix of its primes.
     statuses = set()
     for p in _reference_corpus(random.Random(1729)):
-        for budget in (1, 3, 10):
-            cert = irreducibility_certificate(p, budget)
-            reference = _certificate_searching_every_open_degree(p, budget)
-            assert (cert.status, cert.factor, cert.factor_degrees) == (
-                reference.status,
-                reference.factor,
-                reference.factor_degrees,
-            ), (p.coeffs, budget)
-            assert cert.patterns == reference.patterns[: len(cert.patterns)], (p.coeffs, budget)
-            statuses.add(cert.status)
+        cert = irreducibility_certificate(p)
+        reference = _certificate_searching_every_open_degree(p)
+        assert (cert.status, cert.factor, cert.factor_degrees) == (
+            reference.status,
+            reference.factor,
+            reference.factor_degrees,
+        ), p.coeffs
+        assert cert.patterns == reference.patterns[: len(cert.patterns)], p.coeffs
+        statuses.add(cert.status)
     assert statuses == set(CertificateStatus)
 
 
@@ -856,38 +856,32 @@ def test_factor_search_does_not_run_when_only_degrees_one_and_k_minus_one_are_op
     for coeffs in ([-2, 0, 1], [-2, 0, 0, 1]):
         p = IntPolynomial(coeffs)
         assert exact._squarefree_prime(p) is not None
-        cert = irreducibility_certificate(p, 1)
+        cert = irreducibility_certificate(p)
         assert cert.status is CertificateStatus.IRREDUCIBLE
         assert cert.witness_prime is None
         assert cert.patterns == ((2, (1,) * p.degree),)
 
 
 def test_certificate_reads_primes_only_as_far_as_needed():
-    # x^2 - x - 1 is decided at q = 2; a huge budget must not be paid for.
-    p = IntPolynomial([-1, -1, 1])
-    start = time.perf_counter()
-    cert = irreducibility_certificate(p, 10**8)
-    assert time.perf_counter() - start < 1
-    assert cert == irreducibility_certificate(p, 10)
+    # x^2 - x - 1 is decided at q = 2: no later prime is read.
+    cert = irreducibility_certificate(IntPolynomial([-1, -1, 1]))
+    assert cert.status is CertificateStatus.IRREDUCIBLE
     assert cert.witness_prime == 2
+    assert cert.patterns == ((2, (2,)),)
 
 
 def test_certificate_stops_reading_primes_once_a_factor_is_found():
     # (x^2 - 2)(x^2 - 3) has no integer root (its squarefree prime is 5),
     # so degree 2 is open, and every prime keeps it open.  Once
     # _STALL_PRIMES primes have narrowed nothing, the factor search runs
-    # instead of waiting for the budget, so 10^8 primes cost what 10 do
-    # and give the same certificate.
+    # instead of waiting for the last of the _CERTIFICATE_PRIMES primes.
     p = IntPolynomial([-2, 0, 1]) * IntPolynomial([-3, 0, 1])
     assert exact._squarefree_prime(p) == 5
     assert exact._least_integer_root(p) is None
-    start = time.perf_counter()
-    cert = irreducibility_certificate(p, 10**8)
-    assert time.perf_counter() - start < 1
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor == IntPolynomial([-2, 0, 1])
-    assert cert == irreducibility_certificate(p, 10)
-    assert len(cert.patterns) == exact._STALL_PRIMES
+    assert len(cert.patterns) == exact._STALL_PRIMES < exact._CERTIFICATE_PRIMES
 
 
 def test_certificate_undecided_for_everywhere_split_polynomial():
@@ -895,9 +889,31 @@ def test_certificate_undecided_for_everywhere_split_polynomial():
     # can never earn a single-prime witness.
     # Its roots propose candidates such as x^2 - x + 1 (rounded from
     # x^2 - sqrt(2)x + 1), and exact division rejects every one.
-    cert = irreducibility_certificate(IntPolynomial([1, 0, 0, 0, 1]), 10)
+    cert = irreducibility_certificate(IntPolynomial([1, 0, 0, 0, 1]))
     assert cert.status is CertificateStatus.UNDECIDED
     assert cert.factor is None
+    # it reads the fixed number of primes, no more and no fewer
+    assert exact._CERTIFICATE_PRIMES == 20
+    assert [q for q, _ in cert.patterns] == first_primes(exact._CERTIFICATE_PRIMES)
+    # x^4 - 5x^3 - 4x^2 + 15x + 9, irreducible too, keeps degree 2 open at
+    # every prime: it splits (2,2), (1,1,2) or (1,1,1,1)
+    cert = irreducibility_certificate(IntPolynomial([9, 15, -4, -5, 1]))
+    assert cert.status is CertificateStatus.UNDECIDED
+    assert len(cert.patterns) == exact._CERTIFICATE_PRIMES
+    assert {degrees for _, degrees in cert.patterns} == {(2, 2), (1, 1, 2), (1, 1, 1, 1)}
+
+
+def test_certificate_decides_a_random_char_poly_that_needs_eleven_primes():
+    # The char poly of a seeded random primitive 0-2 matrix (see
+    # tests/test_cli.py); the first ten primes leave degrees open, so it was
+    # Undecided when certificates read only those.  The 11th prime, 31,
+    # closes the last of degrees 2 .. 6, with no witness prime.
+    p = IntPolynomial([-12, 93, -139, 75, 37, 7, -9, -7, 1])
+    cert = irreducibility_certificate(p)
+    assert cert.status is CertificateStatus.IRREDUCIBLE
+    assert cert.witness_prime is None
+    assert len(cert.patterns) == 11
+    assert cert.patterns[-3:] == ((23, (1, 1, 6)), (29, (1, 1, 1, 5)), (31, (1, 7)))
 
 
 def test_first_primes():

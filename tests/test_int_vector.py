@@ -2,8 +2,8 @@
 
 A float or a string entry is a TypeError and a wrong length is a
 DimensionMismatch; nothing is truncated or parsed into a wrong answer.
-Scalar integer arguments (stages, radii, levels, genus, budgets and
-iteration limits) follow the same rule.
+Scalar integer arguments (stages, radii, levels and genus) follow the
+same rule.
 """
 
 import math
@@ -30,6 +30,7 @@ from fibernorm.norm import (
     enumerate_cone_points,
     fiber_class_report,
     gromov_from_thurston,
+    norm_on_h2,
 )
 from fibernorm.numberfield import (
     TraceFunctional,
@@ -113,8 +114,6 @@ SCALAR_CALLS = {
     "bratteli_dot": lambda: bratteli_dot(FIB_GROUP, 2.5),
     "euler_pairing_fiber": lambda: euler_pairing_fiber(2.5),
     "gromov_from_thurston": lambda: gromov_from_thurston(1.5),
-    "build_order-prime_budget": lambda: build_order(FIB, 2.5),
-    "irreducibility_certificate": lambda: irreducibility_certificate(char_poly(FIB), 2.5),
 }
 
 
@@ -127,6 +126,15 @@ def _scalar_cases():
         lambda: perron_data(FIB, max_iter=2.5),
         "unexpected keyword argument 'max_iter'",
         id="perron_data-max_iter",
+    )
+    # Nor does a certificate or an order take a prime budget.
+    yield pytest.param(
+        lambda: build_order(FIB, 2.5), "takes 1 positional argument", id="build_order-prime_budget"
+    )
+    yield pytest.param(
+        lambda: irreducibility_certificate(char_poly(FIB), 2.5),
+        "takes 1 positional argument",
+        id="irreducibility_certificate",
     )
 
 
@@ -153,3 +161,37 @@ def test_perron_data_takes_only_the_matrix():
         perron_data(FIB, tol=1e-12)
     with pytest.raises(TypeError):
         perron_data(FIB, max_iter=3)
+
+
+# The certificate reads a fixed number of primes (exact._CERTIFICATE_PRIMES):
+# no function that builds one takes a prime budget, by position or by name.
+PRIME_BUDGET_CALLS = {
+    "irreducibility_certificate": lambda *budget, **named: irreducibility_certificate(
+        char_poly(FIB), *budget, **named
+    ),
+    "build_order": lambda *budget, **named: build_order(FIB, *budget, **named),
+    "norm_on_h2": lambda *budget, **named: norm_on_h2(BUNDLE, *budget, **named),
+    "fiber_class_report": lambda *budget, **named: fiber_class_report(
+        BUNDLE, (0, 2, 0, 0), *budget, **named
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRIME_BUDGET_CALLS)
+def test_no_function_takes_a_prime_budget(name):
+    call = PRIME_BUDGET_CALLS[name]
+    call()  # the budget-free call works
+    with pytest.raises(TypeError):
+        call(10)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'prime_budget'"):
+        call(prime_budget=10)
+
+
+# trace_via_embeddings' integer test uses a fixed tolerance
+# (numberfield._EMBEDDING_TOL), so none can be passed in.
+def test_trace_via_embeddings_takes_no_tolerance():
+    assert trace_via_embeddings(FIB_ORDER, (1, 1)) == 3
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        trace_via_embeddings(FIB_ORDER, (1, 1), tol=1e-8)
+    with pytest.raises(TypeError):
+        trace_via_embeddings(FIB_ORDER, (1, 1), 1e-8)

@@ -72,24 +72,24 @@ def _random_unimodular_pair(rng, k, ops=8):
 
 
 def test_build_order_examples():
-    order = build_order(QUAD, 5)
+    order = build_order(QUAD)
     assert order.min_poly == IntPolynomial([1, -3, 1])
     assert order.degree == 2
-    order = build_order(TRIB, 5)
+    order = build_order(TRIB)
     assert order.min_poly == IntPolynomial([-1, -1, -1, 1])
     assert order.degree == 3
     with pytest.raises(DegenerateMonodromy):
-        build_order(IntMatrix([[2, 0], [0, 2]]), 5)
+        build_order(IntMatrix([[2, 0], [0, 2]]))
 
 
 def test_build_order_refuses_reducible_and_undecided():
     with pytest.raises(NotAField):
-        build_order(IntMatrix([[0, 1], [1, 0]]), 5)
+        build_order(IntMatrix([[0, 1], [1, 0]]))
     companion_x4_plus_1 = IntMatrix(
         [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     )
     with pytest.raises(IrreducibilityUnverified):
-        build_order(companion_x4_plus_1, 10)
+        build_order(companion_x4_plus_1)
     # diag(1, companion of x^9 - x - 1): degree 10 is past the float factor
     # search, and the exact integer root 1 still splits off x - 1
     one_plus_companion = IntMatrix([[1] + [0] * 9] + [
@@ -147,17 +147,20 @@ def test_build_order_runs_the_squarefree_gcds_once(monkeypatch):
     assert len([call for call in calls if call in squarefree_gcds]) == 4
 
 
-def test_build_order_error_precedence():
-    # a degenerate matrix is refused before the prime budget is read
-    with pytest.raises(DegenerateMonodromy):
-        build_order(IntMatrix([[2, 0], [0, 2]]), 2.5)
-    with pytest.raises(DegenerateMonodromy):
-        build_order(IntMatrix([[5]]))
-    with pytest.raises(ValueError):
-        build_order(QUAD, 0)
+def test_build_order_error_precedence(monkeypatch):
     # constant row sum 2: the eigenvector (1, 1, 1, 1) splits off x - 2
     with pytest.raises(NotAField):
         build_order(IntMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]))
+
+    # a degenerate matrix is refused before the certificate reads a prime
+    def no_certificate(p):
+        raise AssertionError(f"certificate built for {p}")
+
+    monkeypatch.setattr(numberfield, "irreducibility_certificate", no_certificate)
+    with pytest.raises(DegenerateMonodromy):
+        build_order(IntMatrix([[2, 0], [0, 2]]))
+    with pytest.raises(DegenerateMonodromy):
+        build_order(IntMatrix([[5]]))
 
 
 def test_order_constructor_enforces_certificate():
@@ -169,7 +172,7 @@ def test_order_constructor_enforces_certificate():
 
 
 def test_mult_matrix_examples():
-    order = build_order(QUAD, 5)
+    order = build_order(QUAD)
     assert mult_matrix(order, (0, 1)) == IntMatrix([[0, 1], [-1, 3]])
     assert mult_matrix(order, (1, 0)) == IntMatrix.identity(2)
     assert mult_matrix(order, (1, 1)) == IntMatrix([[1, 1], [-1, 4]])
@@ -194,19 +197,19 @@ def test_mult_matrix_is_the_polynomial_in_the_generator_matrix():
 
 
 def test_trace_examples():
-    order = build_order(QUAD, 5)
+    order = build_order(QUAD)
     assert trace_via_mult(order, (0, 1)) == 3
     assert trace_via_mult(order, (1, 0)) == 2
     assert trace_via_mult(order, (1, 1)) == 5
     assert trace_via_newton(order, (0, 1)) == 3
     assert trace_via_newton(order, (0, 0)) == 0
-    assert trace_via_embeddings(order, (0, 1), tol=1e-8) == 3
+    assert trace_via_embeddings(order, (0, 1)) == 3
     # lambda^2 = 3*lambda - 1 has trace 7
     assert trace_via_mult(order, (-1, 3)) == 7
-    assert trace_via_embeddings(order, (-1, 3), tol=1e-8) == 7
-    trib_order = build_order(TRIB, 5)
+    assert trace_via_embeddings(order, (-1, 3)) == 7
+    trib_order = build_order(TRIB)
     assert trace_via_newton(trib_order, (0, 0, 1)) == 3
-    assert trace_via_embeddings(trib_order, (1, 0, 0), tol=1e-8) == 3
+    assert trace_via_embeddings(trib_order, (1, 0, 0)) == 3
 
 
 def test_trace_functional_examples():
@@ -232,7 +235,7 @@ def test_three_way_trace_agreement():
             a = tuple(rng.randint(-10, 10) for _ in range(order.degree))
             exact = trace_via_mult(order, a)
             assert trace_via_newton(order, a) == exact
-            assert trace_via_embeddings(order, a, tol=1e-8) == exact
+            assert trace_via_embeddings(order, a) == exact
 
 
 def test_trace_linearity_exhaustive_scalars():
@@ -269,16 +272,17 @@ def test_functional_starts_with_degree_and_follows_traces():
             assert t[j] == (matrix**j).trace()
 
 
-def test_embeddings_guard_trips_on_absurd_tolerance():
+def test_embeddings_guard_trips_on_absurd_tolerance(monkeypatch):
     # deterministic: this sum lands a few ulps away from the integer 8
-    order = build_order(TRIB, 5)
-    assert trace_via_embeddings(order, (7, -13, 0), tol=1e-8) == 8
+    order = build_order(TRIB)
+    assert trace_via_embeddings(order, (7, -13, 0)) == 8
+    monkeypatch.setattr(numberfield, "_EMBEDDING_TOL", 1e-18)
     with pytest.raises(EmbeddingMismatch):
-        trace_via_embeddings(order, (7, -13, 0), tol=1e-18)
+        trace_via_embeddings(order, (7, -13, 0))
 
 
 def test_embeddings_guard_trips_on_non_finite_sum():
-    order = build_order(TRIB, 5)
+    order = build_order(TRIB)
     order._roots = (complex("nan"),) + order._roots[1:]
     with pytest.raises(EmbeddingMismatch) as info:
         trace_via_embeddings(order, (1, 0, 0))

@@ -14,7 +14,6 @@ import pytest
 
 from fibernorm import exact
 from fibernorm.exact import (
-    DEFAULT_PRIME_BUDGET,
     CertificateStatus,
     IntMatrix,
     IntPolynomial,
@@ -97,7 +96,7 @@ def _sympy_min_poly(m):
 @FEW
 @hypothesis.given(st.one_of(square_matrices, block_repeats, nilpotents))
 # squarefree over Q but not mod any prime the shortcut tries: the elimination path
-@hypothesis.example([[0, 0], [0, math.prod(first_primes(DEFAULT_PRIME_BUDGET))]])
+@hypothesis.example([[0, 0], [0, math.prod(first_primes(exact._CERTIFICATE_PRIMES))]])
 def test_char_and_min_poly_match_sympy(rows):
     matrix, m = IntMatrix(rows), sympy.Matrix(rows)
     assert list(char_poly(matrix).coeffs) == _coeffs(m.charpoly(X).as_expr())
@@ -183,7 +182,7 @@ matrix_char_polys = square_matrices.map(lambda rows: char_poly(IntMatrix(rows)))
 @FEW
 @hypothesis.given(st.one_of(small_monics, products, matrix_char_polys))
 def test_decided_certificates_agree_with_sympy(p):
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     irreducible = sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible
     if cert.status is CertificateStatus.IRREDUCIBLE:
         assert irreducible
@@ -196,18 +195,17 @@ def test_certificates_closed_by_the_root_test_are_irreducible():
     # closed 1 and k - 1 before the first prime, and nothing else may be left
     rng = random.Random(2261)
     closed = 0
-    for budget in (1, 2, 10):
-        for _ in range(200):
-            p = _monic([rng.randint(-20, 20) for _ in range(rng.randint(2, 10))])
-            cert = irreducibility_certificate(p, budget)
-            open_degrees = set(range(1, p.degree))
-            for _, degrees in cert.patterns:
-                open_degrees &= exact._proper_subset_sums(degrees, p.degree)
-            if cert.status is CertificateStatus.IRREDUCIBLE and open_degrees:
-                closed += 1
-                assert open_degrees <= {1, p.degree - 1} and cert.witness_prime is None
-                assert exact._least_integer_root(p) is None
-                assert sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible, p
+    for _ in range(600):
+        p = _monic([rng.randint(-20, 20) for _ in range(rng.randint(2, 10))])
+        cert = irreducibility_certificate(p)
+        open_degrees = set(range(1, p.degree))
+        for _, degrees in cert.patterns:
+            open_degrees &= exact._proper_subset_sums(degrees, p.degree)
+        if cert.status is CertificateStatus.IRREDUCIBLE and open_degrees:
+            closed += 1
+            assert open_degrees <= {1, p.degree - 1} and cert.witness_prime is None
+            assert exact._least_integer_root(p) is None
+            assert sympy.Poly(list(reversed(p.coeffs)), X).is_irreducible, p
     assert closed > 50
 
 
@@ -238,7 +236,7 @@ monic_factors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(_monic)
 @hypothesis.given(monic_factors, monic_factors)
 def test_products_of_two_factors_are_reducible_with_a_dividing_factor(f, g):
     p = f * g
-    cert = irreducibility_certificate(p, 10)
+    cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert 0 < cert.factor.degree < p.degree
     assert p.div_rem(cert.factor)[1].is_zero
