@@ -13,7 +13,7 @@ the caller (finding invariant train tracks is a separate problem); it
 must be nonnegative and primitive.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ActionDimensionMismatch,
@@ -22,36 +22,36 @@ from .errors import (
     IndexSumMismatch,
     ProngTooSmall,
 )
-from .exact import IntMatrix, int_vector
+from .exact import int_vector
 from .perron import primitivity_check
 
 
-@dataclass(frozen=True)
-class SingularityData:
+class SingularityData(namedtuple("SingularityData", "prongs")):
     """Multiset of saddle prong counts, kept sorted."""
 
-    prongs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        prongs = tuple(sorted(int_vector(self.prongs, what="prongs")))
+    def __new__(cls, prongs):
+        prongs = tuple(sorted(int_vector(prongs, what="prongs")))
         if not prongs:
             raise CardinalityOutOfRange("at least one singular point is required")
         if prongs[0] < 3:
             raise ProngTooSmall(f"saddle with {prongs[0]} prongs; at least 3 required")
-        object.__setattr__(self, "prongs", prongs)
+        return super().__new__(cls, prongs)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     @property
     def count(self):
         return len(self.prongs)
 
 
-@dataclass(frozen=True)
-class PseudoAnosovBundle:
+class PseudoAnosovBundle(namedtuple("PseudoAnosovBundle", "genus sing action")):
     """A fibered 3-manifold given by fiber genus, saddle data and monodromy action."""
 
-    genus: int
-    sing: SingularityData
-    action: IntMatrix
+    __slots__ = ()
 
     @property
     def rank(self):

@@ -244,7 +244,7 @@ def _cmd_perron(doc, opts):
     ]
 
 
-def _order_and_functional(doc, opts):
+def _order_and_functional(doc):
     from .numberfield import build_order, trace_functional
 
     order = build_order(doc.matrix)
@@ -255,7 +255,7 @@ def _cmd_trace(doc, opts):
     from .numberfield import trace_via_mult
 
     element = _require(opts.element, "--element")
-    order, functional = _order_and_functional(doc, opts)
+    order, functional = _order_and_functional(doc)
     return [
         ("trace_functional", functional.t),
         ("element", element),
@@ -267,7 +267,7 @@ def _cmd_norm(doc, opts):
     from .numberfield import norm_value
 
     klass = _require(opts.klass, "--class")
-    _, functional = _order_and_functional(doc, opts)
+    _, functional = _order_and_functional(doc)
     return [
         ("trace_functional", functional.t),
         ("class", klass),
@@ -280,7 +280,7 @@ def _cmd_cone(doc, opts):
 
     if opts.klass is None and opts.box is None:
         raise UsageError("cone needs --class and/or --box")
-    _, functional = _order_and_functional(doc, opts)
+    _, functional = _order_and_functional(doc)
     cone = ConeDescription(functional)
     pairs = [("trace_functional", functional.t)]
     if opts.klass is not None:

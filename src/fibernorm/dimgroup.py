@@ -6,35 +6,36 @@ order questions telescope on demand, which keeps vectors small and every
 operation exact.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BackwardTelescope, TooFewLevels
-from .exact import IntMatrix, int_vector
+from .exact import int_vector
 from .perron import eventual_positivity, primitivity_check
 
 
-@dataclass(frozen=True)
-class StationaryDimGroup:
+class StationaryDimGroup(namedtuple("StationaryDimGroup", "matrix witness")):
     """Handle for the inductive system repeating one primitive matrix."""
 
-    matrix: IntMatrix
-    witness: int
+    __slots__ = ()
 
     @property
     def k(self):
         return self.matrix.k
 
 
-@dataclass(frozen=True)
-class DimGroupElement:
-    v: tuple[int, ...]
-    stage: int = 0
+class DimGroupElement(namedtuple("DimGroupElement", "v stage")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", int_vector(self.v))
-        (stage,) = int_vector((self.stage,), what="stage")
+    def __new__(cls, v, stage=0):
+        v = int_vector(v)
+        (stage,) = int_vector((stage,), what="stage")
         if stage < 0:
             raise ValueError("stage must be nonnegative")
+        return super().__new__(cls, v, stage)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
 
 def make_dim_group(A):

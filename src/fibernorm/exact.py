@@ -12,7 +12,7 @@ division accepts one.  All values are immutable once built.
 
 import cmath
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd, isqrt
 from operator import mul
@@ -535,8 +535,13 @@ class CertificateStatus(Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
+class IrreducibilityCertificate(
+    namedtuple(
+        "IrreducibilityCertificate",
+        "status witness_prime factor_degrees patterns factor",
+        defaults=(None, None, (), None),
+    )
+):
     """Outcome of the rational irreducibility test.
 
     ``patterns`` holds each ``(prime, mod-prime factor degrees)`` pair read.
@@ -549,11 +554,7 @@ class IrreducibilityCertificate:
     error.
     """
 
-    status: CertificateStatus
-    witness_prime: int | None = None
-    factor_degrees: tuple[int, ...] | None = None
-    patterns: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    factor: IntPolynomial | None = None
+    __slots__ = ()
 
 
 def _proper_subset_sums(degrees, full):

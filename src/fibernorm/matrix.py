@@ -34,7 +34,6 @@ def int_vector(values, length=None, what="vector"):
     return out
 
 
-
 class IntMatrix:
     """Square matrix of arbitrary-precision integers.  Immutable."""
 

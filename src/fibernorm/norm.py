@@ -18,15 +18,15 @@ tuples, cone_points_text straight into report text, which later prefixes
 with the same s copy.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations_with_replacement, product
 from operator import add, mul
 
 from .bundle import euler_pairing_fiber
 from .errors import NegativeNorm
-from .exact import IntPolynomial, int_vector
-from .numberfield import TraceFunctional, build_order, norm_value, trace_functional
+from .exact import int_vector
+from .numberfield import build_order, norm_value, trace_functional
 
 
 class ConeRegion(Enum):
@@ -35,38 +35,38 @@ class ConeRegion(Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(namedtuple("ConeDescription", "functional")):
     """The half-space cone cut out by one integer functional."""
 
-    functional: TraceFunctional
+    __slots__ = ()
 
     def value(self, z):
         return norm_value(self.functional, z)
 
 
-@dataclass(frozen=True)
-class ConeCounterexample:
-    """A witness that a cone axiom failed (never produced by a half-space)."""
+class ConeCounterexample(namedtuple("ConeCounterexample", "kind z other scale value")):
+    """A witness that a cone axiom failed (never produced by a half-space).
 
-    kind: str  # "scaling" or "addition"
-    z: tuple[int, ...]
-    other: tuple[int, ...] | None
-    scale: int | None
-    value: int
+    kind is "scaling" (z times scale) or "addition" (z plus other); value
+    is the functional at the result.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiagramMismatch:
+class DiagramMismatch(namedtuple("DiagramMismatch", "index expected actual")):
     """A basis class whose claimed doubled value is wrong (1-based index)."""
 
-    index: int
-    expected: int
-    actual: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(
+    namedtuple(
+        "NormReport",
+        "genus singularities rank charpoly functional fiber_class norm_at_fiber"
+        " thurston_fiber_target discrepancy gromov_value dual_euler_value negative_fiber_norm",
+    )
+):
     """Measured norm data for one homology class of one bundle.
 
     gromov_value is twice the norm when the norm is nonnegative and None
@@ -75,18 +75,7 @@ class NormReport:
     norm_at_fiber - (2g - 2), reported signed.
     """
 
-    genus: int
-    singularities: tuple[int, ...]
-    rank: int
-    charpoly: IntPolynomial
-    functional: TraceFunctional
-    fiber_class: tuple[int, ...]
-    norm_at_fiber: int
-    thurston_fiber_target: int
-    discrepancy: int
-    gromov_value: int | None
-    dual_euler_value: int
-    negative_fiber_norm: bool
+    __slots__ = ()
 
 
 def norm_on_h2(bundle):

@@ -13,7 +13,7 @@ can be computed three independent ways:
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import (
@@ -25,7 +25,11 @@ from .errors import (
 from .exact import (
     CertificateStatus,
     IntMatrix,
-    char_poly,  # noqa: F401  (numberfield.char_poly stays bound for callers)
+    # not used here: bench/test_smoke.py::test_tracing_restores_every_binding
+    # asserts numberfield.char_poly is exact.char_poly, and
+    # tests/test_numberfield.py::test_build_order_computes_the_char_poly_once
+    # monkeypatches it
+    char_poly,  # noqa: F401
     int_vector,
     irreducibility_certificate,
     matrix_min_poly,
@@ -37,11 +41,10 @@ from .roots import complex_roots
 _EMBEDDING_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TraceFunctional:
+class TraceFunctional(namedtuple("TraceFunctional", "t")):
     """Integer vector t with t[j] = trace(lambda^j); the norm is z . t."""
 
-    t: tuple[int, ...]
+    __slots__ = ()
 
 
 class NumberFieldOrder:

@@ -9,7 +9,7 @@ the floating eigenvector is never the authority.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import mul, sub
 
@@ -32,21 +32,17 @@ class Sign(Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class PositivitySign:
+class PositivitySign(namedtuple("PositivitySign", "sign witness bound", defaults=(None, None))):
     """Decided sign of a lattice vector under eventual positivity.
 
     Positive carries the smallest witness m with A^m v entrywise >= 1;
     Undecided carries the iteration bound that was exhausted.
     """
 
-    sign: Sign
-    witness: int | None = None
-    bound: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(namedtuple("PerronData", "eigenvalue right left gap witness")):
     """Dominant eigendata of a primitive matrix.
 
     eigenvalue: the Perron root, the largest root modulus.
@@ -55,11 +51,7 @@ class PerronData:
     witness: smallest m with A^m entrywise positive.
     """
 
-    eigenvalue: float
-    right: tuple[float, ...]
-    left: tuple[float, ...]
-    gap: float
-    witness: int
+    __slots__ = ()
 
 
 def primitivity_check(A):

@@ -1,7 +1,7 @@
 """The induced norm, its cone, and the fiber class report."""
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -95,21 +95,19 @@ def _pairwise_axiom_scan(cone, r, scale_max):
     return None
 
 
-@dataclass(frozen=True)
-class _TruncatedCone(ConeDescription):
+class _TruncatedCone(namedtuple("_TruncatedCone", "functional radius", defaults=(2,))):
     """Not a cone: classes with a coordinate past radius are outside."""
 
-    radius: int = 2
+    __slots__ = ()
 
     def value(self, z):
-        return -1 if max(map(abs, z)) > self.radius else super().value(z)
+        return -1 if max(map(abs, z)) > self.radius else ConeDescription.value(self, z)
 
 
-@dataclass(frozen=True)
-class _PuncturedSpace(ConeDescription):
+class _PuncturedSpace(namedtuple("_PuncturedSpace", "functional hole", defaults=((),))):
     """Not a cone: every class is interior except one."""
 
-    hole: tuple[int, ...] = ()
+    __slots__ = ()
 
     def value(self, z):
         return -1 if z == self.hole else 1

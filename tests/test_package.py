@@ -93,6 +93,13 @@ def test_setup_path_loads_no_dataclasses():
     assert "dataclasses" not in _modules_after(SETUP_CODE)
 
 
+def test_every_layer_loads_no_dataclasses():
+    # the result records are named tuples
+    if "dataclasses" in _modules_after("pass"):
+        pytest.skip("this interpreter loads dataclasses at start-up")
+    assert "dataclasses" not in _modules_after("from fibernorm import *")
+
+
 def test_charpoly_loads_only_its_own_layer(tmp_path):
     path = tmp_path / "quad.txt"
     path.write_text("matrix = [[2,1],[1,1]]\n")
