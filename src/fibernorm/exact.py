@@ -105,6 +105,11 @@ class IntPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def __reduce__(self):
+        # a copy is a fresh polynomial: _squarefree_q must be this module's
+        # _UNKNOWN, not an unpickled copy of it
+        return type(self), (self.coeffs,)
+
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
 

@@ -67,6 +67,9 @@ class IntMatrix:
     def __hash__(self):
         return hash(self.rows)
 
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 

@@ -1,7 +1,9 @@
 """Perron-Frobenius data for primitive nonnegative integer matrices.
 
-Primitivity is decided exactly on the positivity pattern (Wielandt's
-bound caps the power to test).  The dominant eigendata is numeric (the
+Primitivity is decided exactly on the positivity pattern, packed into
+one int with row i in bits i*k .. i*k + k - 1: each Boolean power costs
+k bigint operations on k^2-bit ints, and Wielandt's bound caps the
+powers at (k-1)^2 + 1.  The dominant eigendata is numeric (the
 roots give the Perron root and gap, inverse iteration with one
 pivot-free factorization of lambda I - A the eigenvectors), but sign
 questions about lattice vectors are settled by exact integer iteration:
@@ -57,32 +59,33 @@ class PerronData(namedtuple("PerronData", "eigenvalue right left gap witness")):
 def primitivity_check(A):
     """Smallest m with A^m entrywise positive, or raise NotPrimitive.
 
-    Works on the positivity pattern, one int bitmask per row, so entries
-    never grow: row i of the next power is the union of the masks of the
-    rows that row i of the current power reaches.  The Wielandt bound
-    (k-1)^2 + 1 makes the loop a complete decision procedure.
+    Works on the positivity pattern, so entries never grow.  The whole
+    k x k pattern is one int, row i in bits i*k .. i*k + k - 1.  Row i
+    of the next power is the union of the rows of A that row i of the
+    current power reaches, so for each column t the rows with bit t set,
+    picked out by one shift and mask as a 1 at the low bit of each row,
+    times row t of A put row t into all of them at once (rows are k bits
+    apart, so nothing carries).  A power costs k bigint operations on
+    k^2-bit ints; "all positive" is one comparison with the full
+    pattern.  The Wielandt bound (k-1)^2 + 1 caps the powers and makes
+    the loop a complete decision procedure.
     """
     k = A.k
     if any(x < 0 for row in A.rows for x in row):
         raise NotNonnegative("matrix has a negative entry")
     masks = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in A.rows]
-    full = (1 << k) - 1
+    full = (1 << k * k) - 1
+    ones = full // ((1 << k) - 1)  # the low bit of every row
     bound = (k - 1) ** 2 + 1
-    current = masks
+    current = sum(mask << i * k for i, mask in enumerate(masks))
     for m in range(1, bound + 1):
-        if all(row == full for row in current):
+        if current == full:
             return m
-        current = [_reach(row, masks) for row in current]
+        reached = 0
+        for t, mask in enumerate(masks):
+            reached |= (current >> t & ones) * mask
+        current = reached
     raise NotPrimitive(f"no positive power within the Wielandt bound {bound}")
-
-
-def _reach(row, masks):
-    """Union of the masks whose index is a set bit of row."""
-    out = 0
-    for t, mask in enumerate(masks):
-        if row >> t & 1:
-            out |= mask
-    return out
 
 
 def _lu(A, mu):

@@ -7,9 +7,11 @@ against the kept Berkowitz recursion), and the mod-p factor degrees
 against exhaustive trial division.
 """
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import random
 import time
 from itertools import combinations
@@ -533,6 +535,27 @@ def test_certificate_examples():
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor_degrees == (1, 1)
     assert cert.factor in (IntPolynomial([-1, 1]), IntPolynomial([1, 1]))
+
+
+def _pickled(protocol):
+    return lambda p: pickle.loads(pickle.dumps(p, protocol))
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, *map(_pickled, PROTOCOLS)],
+                         ids=["copy", "deepcopy", *(f"pickle{n}" for n in PROTOCOLS)])
+def test_a_copied_polynomial_certifies_like_the_original(duplicate):
+    # a copy starts afresh: its squarefree prime is computed, not carried
+    # over as a copy of the "not yet computed" marker
+    expected = irreducibility_certificate(IntPolynomial([-1, -1, 1]))
+    fresh = duplicate(IntPolynomial([-1, -1, 1]))
+    assert irreducibility_certificate(fresh) == expected
+    certified = IntPolynomial([-1, -1, 1])
+    irreducibility_certificate(certified)
+    assert irreducibility_certificate(duplicate(certified)) == expected
+    assert exact._squarefree_prime(duplicate(IntPolynomial([0, 0, 1]))) is None
 
 
 def test_certificate_witness_is_checkable():

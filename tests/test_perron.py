@@ -91,12 +91,52 @@ def test_primitivity_examples():
         primitivity_check(IntMatrix([[1, -1], [1, 1]]))
     # Wielandt's extremal matrix, the k-cycle plus the edge k-1 -> 1, needs
     # the full bound; a pure cycle never becomes positive.
-    for k in range(3, 9):
+    for k in [*range(3, 9), 16, 24]:
         rows = _cycle(k)
         rows[k - 1][1] = 1
         assert primitivity_check(IntMatrix(rows)) == (k - 1) ** 2 + 1
+    for k in (6, 24):
+        with pytest.raises(NotPrimitive):
+            primitivity_check(IntMatrix(_cycle(k)))
+    # k = 1: the bound is 1, so only A itself is looked at
+    assert primitivity_check(IntMatrix([[2]])) == 1
     with pytest.raises(NotPrimitive):
-        primitivity_check(IntMatrix(_cycle(6)))
+        primitivity_check(IntMatrix([[0]]))
+    # the sign check comes first, even where the pattern alone is primitive
+    with pytest.raises(NotNonnegative):
+        primitivity_check(IntMatrix([[1, 1, 1], [1, 1, 1], [1, 1, -1]]))
+
+
+def _pattern_oracle(matrix):
+    """Smallest m with a positive Boolean power, by sets of reached
+    columns per row, or None when none comes within the Wielandt bound."""
+    k = matrix.k
+    step = [{j for j, x in enumerate(row) if x} for row in matrix.rows]
+    power = step
+    for m in range(1, (k - 1) ** 2 + 2):
+        if all(len(row) == k for row in power):
+            return m
+        power = [set().union(*(step[t] for t in row)) for row in power]
+    return None
+
+
+def test_primitivity_check_matches_a_boolean_power_oracle():
+    rng = random.Random(4242)
+    answers = set()
+    for k in range(1, 13):
+        for density in (0.1, 0.2, 0.35, 0.5, 0.8):
+            for _ in range(6):
+                matrix = IntMatrix([[rng.randint(1, 5) if rng.random() < density else 0
+                                     for _ in range(k)] for _ in range(k)])
+                expected = _pattern_oracle(matrix)
+                answers.add(expected)
+                if expected is None:
+                    with pytest.raises(NotPrimitive):
+                        primitivity_check(matrix)
+                else:
+                    assert primitivity_check(matrix) == expected
+    # the draws reach both answers, and witnesses past the first power
+    assert None in answers and len(answers - {None, 1}) >= 3
 
 
 def test_primitivity_witness_is_smallest():

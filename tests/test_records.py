@@ -179,9 +179,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls, names, values, defaults, text
 @CASES
 def test_pickle_copy_and_deepcopy_round_trip(cls, names, values, defaults, text):
     record = cls(*values)
-    # from protocol 2 on: IntMatrix and IntPolynomial use __slots__
     copies = [pickle.loads(pickle.dumps(record, protocol))
-              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(record), copy.deepcopy(record)]
     for other in copies:
         assert type(other) is cls
