@@ -20,7 +20,6 @@ _SOURCE = {
     "ConeCounterexample": "norm",
     "ConeDescription": "norm",
     "ConeRegion": "norm",
-    "DiagramMismatch": "norm",
     "DimGroupElement": "dimgroup",
     "IntMatrix": "matrix",
     "IntPolynomial": "exact",
@@ -41,15 +40,12 @@ _SOURCE = {
     "cone_axiom_check": "norm",
     "cone_membership": "norm",
     "cone_points_text": "norm",
-    "diagram_consistency": "norm",
     "elements_equal": "dimgroup",
     "enumerate_cone_points": "norm",
     "euler_pairing_fiber": "bundle",
     "eventual_positivity": "perron",
     "factor_mod_p": "exact",
     "fiber_class_report": "norm",
-    "first_primes": "exact",
-    "gromov_from_thurston": "norm",
     "h2_rank": "bundle",
     "irreducibility_certificate": "exact",
     "is_positive": "dimgroup",
@@ -57,7 +53,6 @@ _SOURCE = {
     "matrix_min_poly": "exact",
     "mult_matrix": "numberfield",
     "newton_power_sums": "exact",
-    "norm_on_h2": "norm",
     "norm_value": "numberfield",
     "order_unit": "dimgroup",
     "perron_data": "perron",

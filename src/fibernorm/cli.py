@@ -169,17 +169,6 @@ def parse_input(text):
     return InputDocument(matrix=matrix, genus=genus, singularities=singularities)
 
 
-def serialize_input(doc):
-    """Canonical text form; parse_input round-trips it."""
-    lines = []
-    if doc.genus is not None:
-        lines.append(f"genus = {doc.genus}")
-        lines.append("singularities = " + ",".join(str(n) for n in doc.singularities))
-    matrix = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in doc.matrix.rows)
-    lines.append(f"matrix = [{matrix}]")
-    return "\n".join(lines) + "\n"
-
-
 # --- report formatting -------------------------------------------------------
 
 def _format_value(value):
@@ -437,18 +426,14 @@ def _read_input(path):
         raise UsageError(f"cannot read input: {exc}") from exc
 
 
-def run_subcommand(name, opts, doc):
-    """Dispatch to a handler; returns the report text (or DOT text)."""
-    result = _HANDLERS[name](doc, opts)
-    return result if isinstance(result, str) else write_report(result)
-
-
 def main(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         name, opts = _parse_argv(argv)
-        report = run_subcommand(name, opts, parse_input(_read_input(opts.input)))
+        report = _HANDLERS[name](parse_input(_read_input(opts.input)), opts)
+        if not isinstance(report, str):  # bratteli --format dot returns its text
+            report = write_report(report)
     except FibernormError as exc:
         if isinstance(exc, UsageError):
             err.write(USAGE)

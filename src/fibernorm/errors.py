@@ -86,10 +86,6 @@ class ActionDimensionMismatch(FibernormError):
     """The action matrix does not have the rank 2g+m-1 demanded by the data."""
 
 
-class NegativeNorm(FibernormError):
-    """A norm value that must be nonnegative was negative."""
-
-
 class ParseError(FibernormError):
     """Malformed input document."""
 

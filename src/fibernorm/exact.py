@@ -25,19 +25,19 @@ from .roots import complex_roots
 # subsets below it); the certificate stays Undecided.
 _FACTOR_SEARCH_MAX_DEGREE = 8
 
-# The reduction primes read: _squarefree_prime and the certificate try the
-# first _CERTIFICATE_PRIMES primes, and no caller sets the count.  Measured
+# The reduction primes read, in order: _squarefree_prime and the
+# certificate try the first 20 primes, and no caller sets them.  Measured
 # on the char polys of seeded random primitive 0-2 matrices: of 720 at
 # k = 8-32, the first 10 primes left 8 Undecided, and all 8 are Irreducible
 # after 11-18 primes; of 2,360 at k = 4-24, every one that 100 primes
 # decide needs at most 15.  A polynomial that no count decides (x^4 + 1
 # splits mod every prime) pays for all of them.
-_CERTIFICATE_PRIMES = 20
+_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 # The factor search runs once this many primes in a row narrow nothing, so
 # a reducible polynomial of degree at most 8 with no integer root, whose
 # patterns never empty the open degrees, is found after _STALL_PRIMES
-# primes, not after all _CERTIFICATE_PRIMES.
+# primes, not after all of _CERTIFICATE_PRIMES.
 _STALL_PRIMES = 4
 
 # char_poly's choice between its two exact paths, set from timings of both
@@ -113,9 +113,6 @@ class IntPolynomial:
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
 
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
     def __add__(self, other):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -126,11 +123,6 @@ class IntPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return IntPolynomial(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, IntPolynomial):
@@ -361,16 +353,6 @@ def is_prime(n):
     return True
 
 
-def _primes():
-    """Every prime, ascending; each is found only when it is reached."""
-    return filter(is_prime, itertools.count(2))
-
-
-def first_primes(count):
-    """The first ``count`` primes, ascending."""
-    return list(itertools.islice(_primes(), count))
-
-
 # --- arithmetic in F_q[x]: plain ascending coefficient lists -----------------
 
 def _fp_trim(a):
@@ -445,18 +427,18 @@ def _fp_powmod(base, exponent, modulus, q):
 def _squarefree_prime(p):
     """The first prime q with p squarefree mod q, or None.
 
-    The first _CERTIFICATE_PRIMES primes are tried, each generated only
-    when reached.  gcd(p mod q, p' mod q) = 1 means no repeated root over
-    the algebraic closure of F_q.  p is
-    monic, so a square factor over Q stays a square factor mod every q,
-    and one such prime proves p squarefree over Q.  None when no prime
-    tried shows it.  The answer is kept on p (its _squarefree_q slot), so
-    matrix_min_poly and the certificate of the same char poly share it.
+    The primes of _CERTIFICATE_PRIMES are tried in order.  gcd(p mod q,
+    p' mod q) = 1 means no repeated root over the algebraic closure of
+    F_q.  p is monic, so a square factor over Q stays a square factor
+    mod every q, and one such prime proves p squarefree over Q.  None
+    when no prime tried shows it.  The answer is kept on p (its
+    _squarefree_q slot), so matrix_min_poly and the certificate of the
+    same char poly share it.
     """
     if p._squarefree_q is _UNKNOWN:
         p._squarefree_q = None
         derivative = [i * c for i, c in enumerate(p.coeffs)][1:]
-        for q in itertools.islice(_primes(), _CERTIFICATE_PRIMES):
+        for q in _CERTIFICATE_PRIMES:
             if _fp_gcd([c % q for c in p.coeffs], _fp_trim([c % q for c in derivative]), q) == [1]:
                 p._squarefree_q = q
                 break
@@ -610,16 +592,16 @@ def irreducibility_certificate(p):
     squarefree) and found none, no factor has degree 1 or k - 1, so the
     open degrees start at 2 .. k - 2, else at 1 .. k - 1.  A monic factor
     of degree d reduces mod every prime to factors whose degrees sum to
-    d, so each of the first _CERTIFICATE_PRIMES primes, generated only
-    when the loop reaches it, keeps the open degrees that are subset sums
-    of its pattern: none left proves irreducibility, at the first prime
-    for a quadratic or cubic.  If degrees stay open (and the degree is at
-    most 8), products of the numeric roots propose integer factors of
-    those degrees, and exact division decides: Reducible only with a
-    factor that divides p.  The search runs once: when _STALL_PRIMES
-    primes in a row narrow nothing, or at the last prime.  Anything else
-    is Undecided after all _CERTIFICATE_PRIMES primes, as is x^4 + 1,
-    irreducible but with degree 2 open at every prime.
+    d, so each prime of _CERTIFICATE_PRIMES, in order, keeps the open
+    degrees that are subset sums of its pattern: none left proves
+    irreducibility, at the first prime for a quadratic or cubic.  If
+    degrees stay open (and the degree is at most 8), products of the
+    numeric roots propose integer factors of those degrees, and exact
+    division decides: Reducible only with a factor that divides p.  The
+    search runs once: when _STALL_PRIMES primes in a row narrow nothing,
+    or at the last prime.  Anything else is Undecided after all 20
+    primes, as is x^4 + 1, irreducible but with degree 2 open at every
+    prime.
 
     >>> irreducibility_certificate(IntPolynomial([-2, 0, 0, 1])).patterns
     ((2, (1, 1, 1)),)
@@ -641,7 +623,7 @@ def irreducibility_certificate(p):
     patterns = ()
     stalled = 0
     searched = False
-    for q in itertools.islice(_primes(), _CERTIFICATE_PRIMES):
+    for q in _CERTIFICATE_PRIMES:
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
         narrowed = possible & _proper_subset_sums(degrees, k)
@@ -654,7 +636,7 @@ def irreducibility_certificate(p):
                 factor_degrees=(k,),
                 patterns=patterns,
             )
-        if not searched and (stalled == _STALL_PRIMES or len(patterns) == _CERTIFICATE_PRIMES):
+        if not searched and (stalled == _STALL_PRIMES or q == _CERTIFICATE_PRIMES[-1]):
             searched = True
             factor = _factor_from_roots(p, possible)
             if factor is not None:

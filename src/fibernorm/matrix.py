@@ -81,14 +81,6 @@ class IntMatrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._check_same_size(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix([[other * x for x in row] for row in self.rows])

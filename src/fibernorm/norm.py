@@ -24,7 +24,6 @@ from itertools import combinations_with_replacement, product
 from operator import add, mul
 
 from .bundle import euler_pairing_fiber
-from .errors import NegativeNorm
 from .exact import int_vector
 from .numberfield import build_order, norm_value, trace_functional
 
@@ -54,12 +53,6 @@ class ConeCounterexample(namedtuple("ConeCounterexample", "kind z other scale va
     __slots__ = ()
 
 
-class DiagramMismatch(namedtuple("DiagramMismatch", "index expected actual")):
-    """A basis class whose claimed doubled value is wrong (1-based index)."""
-
-    __slots__ = ()
-
-
 class NormReport(
     namedtuple(
         "NormReport",
@@ -76,11 +69,6 @@ class NormReport(
     """
 
     __slots__ = ()
-
-
-def norm_on_h2(bundle):
-    """Trace functional of the order built from the bundle's action matrix."""
-    return trace_functional(build_order(bundle.action))
 
 
 def cone_membership(cone, z):
@@ -250,31 +238,6 @@ def cone_points_text(cone, box_radius):
             out.append(row + ("]," + row).join(lasts[lo:hi]) + "]")
         blocks[s] = prefix, a, len(out)
     return "[" + ",".join(out) + "]"
-
-
-def gromov_from_thurston(n):
-    """Simplicial norm from the embedded-surface norm: exactly twice."""
-    (n,) = int_vector((n,), what="norm value")
-    if n < 0:
-        raise NegativeNorm(f"norm value {n} is negative")
-    return 2 * n
-
-
-def diagram_consistency(cone, basis_values):
-    """Check claimed simplicial values on the standard basis against doubling.
-
-    For every basis vector inside the cone, the claimed value must be
-    exactly twice the norm.  Returns None or the first mismatch
-    (1-based index).
-    """
-    t = cone.functional.t
-    values = int_vector(basis_values, len(t), "basis values")
-    for i, norm in enumerate(t):
-        if norm < 0:
-            continue
-        if values[i] != 2 * norm:
-            return DiagramMismatch(index=i + 1, expected=2 * norm, actual=values[i])
-    return None
 
 
 def fiber_class_report(bundle, z_fiber):

@@ -71,7 +71,7 @@ def primitivity_check(A):
     the loop a complete decision procedure.
     """
     k = A.k
-    if any(x < 0 for row in A.rows for x in row):
+    if min(map(min, A.rows)) < 0:
         raise NotNonnegative("matrix has a negative entry")
     masks = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in A.rows]
     full = (1 << k * k) - 1

@@ -26,7 +26,6 @@ from fibernorm.exact import (
     IntPolynomial,
     char_poly,
     factor_mod_p,
-    first_primes,
     irreducibility_certificate,
     matrix_min_poly,
     newton_power_sums,
@@ -410,7 +409,7 @@ def test_min_poly_on_derogatory_and_nilpotent_matrices():
 
 def test_min_poly_falls_back_to_elimination_when_no_prime_shows_squarefree(monkeypatch):
     # x^2 - P x is squarefree over Q, but x^2 mod every prime the shortcut tries
-    P = math.prod(first_primes(exact._CERTIFICATE_PRIMES))
+    P = math.prod(exact._CERTIFICATE_PRIMES)
     eliminated = []
     original = exact._min_poly_by_elimination
 
@@ -651,7 +650,7 @@ def test_certificate_undecided_when_roots_do_not_fit_a_float():
     cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.UNDECIDED
     assert cert.factor is None
-    assert len(cert.patterns) == exact._CERTIFICATE_PRIMES
+    assert len(cert.patterns) == len(exact._CERTIFICATE_PRIMES)
 
 
 def test_certificate_finds_an_integer_root_that_does_not_fit_a_float():
@@ -750,7 +749,7 @@ def test_least_integer_root_examples():
 def test_nothing_is_claimed_when_no_budget_prime_shows_p_squarefree():
     # x^2 - P x = x (x - P) is x^2 mod every prime tried, so the lift never
     # starts; the patterns and the float search decide as before.
-    P = math.prod(first_primes(exact._CERTIFICATE_PRIMES))
+    P = math.prod(exact._CERTIFICATE_PRIMES)
     p = IntPolynomial([0, -P, 1])
     assert exact._squarefree_prime(p) is None
     assert exact._least_integer_root(p) is None
@@ -800,7 +799,7 @@ def _certificate_searching_every_open_degree(p):
             CertificateStatus.REDUCIBLE, factor_degrees=(1, k - 1), factor=IntPolynomial([-root, 1])
         )
     possible, patterns, stalled, searched = set(range(1, k)), (), 0, False
-    for q in itertools.islice(exact._primes(), exact._CERTIFICATE_PRIMES):
+    for q in exact._CERTIFICATE_PRIMES:
         degrees = factor_mod_p(p, q)
         patterns += ((q, degrees),)
         narrowed = possible & exact._proper_subset_sums(degrees, k)
@@ -814,7 +813,7 @@ def _certificate_searching_every_open_degree(p):
                 patterns=patterns,
             )
         if not searched and (
-            stalled == exact._STALL_PRIMES or len(patterns) == exact._CERTIFICATE_PRIMES
+            stalled == exact._STALL_PRIMES or q == exact._CERTIFICATE_PRIMES[-1]
         ):
             searched = True
             factor = exact._factor_from_roots(p, possible)
@@ -897,14 +896,14 @@ def test_certificate_stops_reading_primes_once_a_factor_is_found():
     # (x^2 - 2)(x^2 - 3) has no integer root (its squarefree prime is 5),
     # so degree 2 is open, and every prime keeps it open.  Once
     # _STALL_PRIMES primes have narrowed nothing, the factor search runs
-    # instead of waiting for the last of the _CERTIFICATE_PRIMES primes.
+    # instead of waiting for the last of _CERTIFICATE_PRIMES.
     p = IntPolynomial([-2, 0, 1]) * IntPolynomial([-3, 0, 1])
     assert exact._squarefree_prime(p) == 5
     assert exact._least_integer_root(p) is None
     cert = irreducibility_certificate(p)
     assert cert.status is CertificateStatus.REDUCIBLE
     assert cert.factor == IntPolynomial([-2, 0, 1])
-    assert len(cert.patterns) == exact._STALL_PRIMES < exact._CERTIFICATE_PRIMES
+    assert len(cert.patterns) == exact._STALL_PRIMES < len(exact._CERTIFICATE_PRIMES)
 
 
 def test_certificate_undecided_for_everywhere_split_polynomial():
@@ -916,13 +915,13 @@ def test_certificate_undecided_for_everywhere_split_polynomial():
     assert cert.status is CertificateStatus.UNDECIDED
     assert cert.factor is None
     # it reads the fixed number of primes, no more and no fewer
-    assert exact._CERTIFICATE_PRIMES == 20
-    assert [q for q, _ in cert.patterns] == first_primes(exact._CERTIFICATE_PRIMES)
+    assert len(exact._CERTIFICATE_PRIMES) == 20
+    assert tuple(q for q, _ in cert.patterns) == exact._CERTIFICATE_PRIMES
     # x^4 - 5x^3 - 4x^2 + 15x + 9, irreducible too, keeps degree 2 open at
     # every prime: it splits (2,2), (1,1,2) or (1,1,1,1)
     cert = irreducibility_certificate(IntPolynomial([9, 15, -4, -5, 1]))
     assert cert.status is CertificateStatus.UNDECIDED
-    assert len(cert.patterns) == exact._CERTIFICATE_PRIMES
+    assert len(cert.patterns) == len(exact._CERTIFICATE_PRIMES)
     assert {degrees for _, degrees in cert.patterns} == {(2, 2), (1, 1, 2), (1, 1, 1, 1)}
 
 
@@ -940,4 +939,8 @@ def test_certificate_decides_a_random_char_poly_that_needs_eleven_primes():
 
 
 def test_first_primes():
-    assert first_primes(5) == [2, 3, 5, 7, 11]
+    # the certificate's primes are exactly the first 20 primes, in order
+    first = itertools.islice(filter(exact.is_prime, itertools.count()), 20)
+    assert exact._CERTIFICATE_PRIMES == tuple(first)
+    sympy = pytest.importorskip("sympy")
+    assert exact._CERTIFICATE_PRIMES == tuple(map(sympy.prime, range(1, 21)))

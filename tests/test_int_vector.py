@@ -26,11 +26,8 @@ from fibernorm.norm import (
     cone_axiom_check,
     cone_membership,
     cone_points_text,
-    diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
-    gromov_from_thurston,
-    norm_on_h2,
 )
 from fibernorm.numberfield import (
     TraceFunctional,
@@ -66,7 +63,6 @@ ENTRY_POINTS = {
     "telescope": (lambda v: telescope(FIB_GROUP, DimGroupElement(v), 1), 2),
     "is_positive": (lambda v: is_positive(FIB_GROUP, DimGroupElement(v)), 2),
     "fiber_class_report": (lambda v: fiber_class_report(BUNDLE, v), 4),
-    "diagram_consistency": (lambda v: diagram_consistency(CONE, v), 2),
     "IntMatrix.apply": (FIB.apply, 2),
     "SingularityData": (SingularityData, None),
 }
@@ -113,7 +109,6 @@ SCALAR_CALLS = {
     "telescope": lambda: telescope(FIB_GROUP, DimGroupElement((1, 0)), 1.5),
     "bratteli_dot": lambda: bratteli_dot(FIB_GROUP, 2.5),
     "euler_pairing_fiber": lambda: euler_pairing_fiber(2.5),
-    "gromov_from_thurston": lambda: gromov_from_thurston(1.5),
 }
 
 
@@ -170,7 +165,6 @@ PRIME_BUDGET_CALLS = {
         char_poly(FIB), *budget, **named
     ),
     "build_order": lambda *budget, **named: build_order(FIB, *budget, **named),
-    "norm_on_h2": lambda *budget, **named: norm_on_h2(BUNDLE, *budget, **named),
     "fiber_class_report": lambda *budget, **named: fiber_class_report(
         BUNDLE, (0, 2, 0, 0), *budget, **named
     ),

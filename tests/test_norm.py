@@ -8,7 +8,7 @@ import pytest
 
 from fibernorm.bundle import SingularityData, build_bundle
 from fibernorm.cli import _format_value
-from fibernorm.errors import DimensionMismatch, NegativeNorm
+from fibernorm.errors import DimensionMismatch
 from fibernorm.exact import IntMatrix
 from fibernorm.norm import (
     ConeCounterexample,
@@ -17,11 +17,8 @@ from fibernorm.norm import (
     cone_axiom_check,
     cone_membership,
     cone_points_text,
-    diagram_consistency,
     enumerate_cone_points,
     fiber_class_report,
-    gromov_from_thurston,
-    norm_on_h2,
 )
 from fibernorm.numberfield import TraceFunctional, build_order, trace_functional
 
@@ -39,7 +36,7 @@ def _cone(t):
 
 
 def test_norm_on_h2_fixtures():
-    assert norm_on_h2(_fournacci_bundle()).t == (4, 1, 3, 7)
+    assert trace_functional(build_order(_fournacci_bundle().action)).t == (4, 1, 3, 7)
     # algebra-level fixtures, no bundle attached
     assert trace_functional(build_order(QUAD)).t == (2, 3)
     assert trace_functional(build_order(TRIB)).t == (3, 1, 3)
@@ -227,34 +224,6 @@ def test_enumerate_cone_points_sorted_and_closed_in_box():
             total = tuple(a + b for a, b in zip(z1, z2))
             if all(abs(x) <= 2 for x in total):
                 assert total in inside
-
-
-def test_gromov_examples():
-    assert gromov_from_thurston(1) == 2
-    assert gromov_from_thurston(0) == 0
-    assert gromov_from_thurston(2) == 4
-    with pytest.raises(NegativeNorm):
-        gromov_from_thurston(-1)
-
-
-def test_gromov_doubles_the_norm_on_the_cone():
-    cone = _cone((2, 3))
-    for z in enumerate_cone_points(cone, 3):
-        value = gromov_from_thurston(cone.value(z))
-        assert value == 2 * cone.value(z)
-        assert value % 2 == 0
-
-
-def test_diagram_consistency_examples():
-    assert diagram_consistency(_cone((2, 3)), (4, 6)) is None
-    mismatch = diagram_consistency(_cone((2, 3)), (4, 5))
-    assert mismatch is not None
-    assert (mismatch.index, mismatch.expected, mismatch.actual) == (2, 6, 5)
-    assert diagram_consistency(_cone((4, 1, 3, 7)), (8, 2, 6, 14)) is None
-    # basis directions outside the cone carry no claim
-    assert diagram_consistency(_cone((1, -1)), (2, 999)) is None
-    with pytest.raises(DimensionMismatch):
-        diagram_consistency(_cone((2, 3)), (4, 6, 8))
 
 
 def test_fiber_class_report_examples():

@@ -1,6 +1,6 @@
 """The result records: named, immutable fields with value semantics.
 
-Each of the twelve records the layers pass around builds by keyword or
+Each of the eleven records the layers pass around builds by keyword or
 by position, fills its defaults, prints as ``Name(field=value, ...)``,
 hashes equal when equal, refuses assignment and deletion, and survives
 pickle, ``copy`` and ``deepcopy``.  ``SingularityData`` and
@@ -16,7 +16,6 @@ import pytest
 from fibernorm import (
     CertificateStatus,
     ConeDescription,
-    DiagramMismatch,
     DimGroupElement,
     IntMatrix,
     IntPolynomial,
@@ -81,13 +80,6 @@ RECORDS = [
         ("addition", (0, -1), (1, -1), None, -1),
         {},
         "ConeCounterexample(kind='addition', z=(0, -1), other=(1, -1), scale=None, value=-1)",
-    ),
-    (
-        DiagramMismatch,
-        "index expected actual",
-        (1, 8, 4),
-        {},
-        "DiagramMismatch(index=1, expected=8, actual=4)",
     ),
     (
         NormReport,
