@@ -13,6 +13,13 @@ subcommands.  Reports are ``key = value`` lines in the order each
 handler emits them (nothing re-sorts), integers exact, floats with 12
 significant digits, so identical inputs produce byte-identical output.
 
+An integer list (a matrix row, ``singularities``, a list flag) is read
+by one ``map(int)`` over its comma-separated parts when its text is
+ASCII without ``_``: there ``int()`` accepts a subset of what the
+per-part parser does, with equal values.  Text that ``int()`` refuses
+(an empty part, a blank such as ``\x1f``, too many digits) goes to the
+per-part parser, the only source of ``ParseError`` messages and lines.
+
 Flags come from one table, ``_FLAGS``: flag -> (option name, converter,
 expected form, default); the options are built from it alone.  Integer
 and list flags use the document's own parsers, so ``--box 1_0`` fails as
@@ -104,6 +111,11 @@ def _parse_int(text, line=None):
 
 def _parse_bare_int_list(text, line):
     parts = text.split(",")
+    if text.isascii() and "_" not in text:  # int() accepts a subset of _parse_int
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            pass  # the loop reports it, or reads what int() refuses
     if any(not p.strip() for p in parts):
         raise ParseError(f"malformed integer list {text!r}", line)
     return tuple(_parse_int(p, line) for p in parts)

@@ -94,6 +94,24 @@ def check_levels(levels):
         raise TooFewLevels("a diagram needs at least 2 floors")
 
 
+def _floors(templates, count):
+    """Text of floors 0 .. count-1 from the templates of floors 0 .. 9
+    (of all floors, when there are fewer).
+
+    Floor 10a + d is written head(a) + str(d), head(0) = "" and head(a) =
+    str(a) otherwise; a template holds "\\2" for head(a) and "\\3" for
+    str(a + 1).  Every floor's template has the same length, so a last
+    block of fewer than ten floors is a prefix of the joined templates.
+    """
+    block, size = "".join(templates), len(templates[0])
+    return [
+        block[: (count - t) * size]
+        .replace("\2", str(t // 10) if t else "")
+        .replace("\3", str(t // 10 + 1))
+        for t in range(0, count, 10)
+    ]
+
+
 def bratteli_dot(group, levels):
     """Render the diagram as DOT text, byte-identical for equal inputs.
 
@@ -102,26 +120,33 @@ def bratteli_dot(group, levels):
     floor t+1.  Floors are emitted top to bottom, vertices by index,
     edges by (floor, target row, source column).  Every floor has the
     same vertex lines and every pair of adjacent floors the same edge
-    lines, so both blocks are built once as templates, "\\0" standing
-    for floor t and "\\1" for floor t+1 (no line holds another control
-    character): one str.replace per placeholder per floor, then one
-    join of the output.
+    lines, so both are built once as one-floor templates, "\\0" standing
+    for floor t and "\\1" for floor t+1.  Ten floors in a row differ only
+    in the leading digits of their numbers, so those give templates of
+    up to ten floors (_floors), "\\2" and "\\3" standing for the leading
+    digits (no line holds another control character): one str.replace
+    per placeholder per ten floors, then one join of the output.  A
+    template covers at most the floors drawn.
     """
     check_levels(levels)
-    vertices = "".join(f"  v\0_{i};\n" for i in range(group.k))
-    edges = "".join(
+    vertex = "".join(f"  v\0_{i};\n" for i in range(group.k))
+    edge = "".join(
         f"  v\0_{j} -> v\1_{i};\n" * count
         for i, row in enumerate(group.matrix.rows)
         for j, count in enumerate(row)
     )
+    # Floor d of a block of ten, then the first floor of the next block.
+    names = [f"\2{d}" for d in range(10)] + ["\3" + "0"]
+    vertices = [vertex.replace("\0", names[d]) for d in range(min(levels, 10))]
+    edges = [
+        edge.replace("\0", names[d]).replace("\1", names[d + 1])
+        for d in range(min(levels - 1, 10))
+    ]
     return "".join(
         [
             "digraph bratteli {\n",
-            *[vertices.replace("\0", str(t)) for t in range(levels)],
-            *[
-                edges.replace("\0", str(t)).replace("\1", str(t + 1))
-                for t in range(levels - 1)
-            ],
+            *_floors(vertices, levels),
+            *_floors(edges, levels - 1),
             "}\n",
         ]
     )

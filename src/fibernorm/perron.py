@@ -13,6 +13,7 @@ the floating eigenvector is never the authority.
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import compress
 from operator import mul, sub
 
 from .errors import NoConvergence, NotNonnegative, NotPrimitive
@@ -60,20 +61,23 @@ def primitivity_check(A):
     """Smallest m with A^m entrywise positive, or raise NotPrimitive.
 
     Works on the positivity pattern, so entries never grow.  The whole
-    k x k pattern is one int, row i in bits i*k .. i*k + k - 1.  Row i
-    of the next power is the union of the rows of A that row i of the
-    current power reaches, so for each column t the rows with bit t set,
-    picked out by one shift and mask as a 1 at the low bit of each row,
-    times row t of A put row t into all of them at once (rows are k bits
-    apart, so nothing carries).  A power costs k bigint operations on
-    k^2-bit ints; "all positive" is one comparison with the full
-    pattern.  The Wielandt bound (k-1)^2 + 1 caps the powers and makes
-    the loop a complete decision procedure.
+    k x k pattern is one int, row i in bits i*k .. i*k + k - 1; the mask
+    of a row is the sum of the column bits 1 << j that ``compress``
+    picks by its nonzero entries, which the sign check has made the
+    positive ones.  Row i of the next power is the union of the rows of
+    A that row i of the current power reaches, so for each column t the
+    rows with bit t set, picked out by one shift and mask as a 1 at the
+    low bit of each row, times row t of A put row t into all of them at
+    once (rows are k bits apart, so nothing carries).  A power costs k
+    bigint operations on k^2-bit ints; "all positive" is one comparison
+    with the full pattern.  The Wielandt bound (k-1)^2 + 1 caps the
+    powers and makes the loop a complete decision procedure.
     """
     k = A.k
     if min(map(min, A.rows)) < 0:
         raise NotNonnegative("matrix has a negative entry")
-    masks = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in A.rows]
+    bits = [1 << j for j in range(k)]
+    masks = [sum(compress(bits, row)) for row in A.rows]  # nonzero is positive here
     full = (1 << k * k) - 1
     ones = full // ((1 << k) - 1)  # the low bit of every row
     bound = (k - 1) ** 2 + 1
@@ -209,11 +213,11 @@ def eventual_positivity(A, v):
     primitivity_check(A)
     u = int_vector(v, A.k)
     for step in range(ITERATION_BOUND + 1):
-        if all(x == 0 for x in u):
+        if not any(u):
             return PositivitySign(Sign.ZERO)
-        if all(x >= 1 for x in u):
+        if min(u) >= 1:
             return PositivitySign(Sign.POSITIVE, witness=step)
-        if all(x <= -1 for x in u):
+        if max(u) <= -1:
             return PositivitySign(Sign.NEGATIVE)
         u = A.apply(u)
     return PositivitySign(Sign.UNDECIDED, bound=ITERATION_BOUND)

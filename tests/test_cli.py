@@ -8,10 +8,11 @@ import random
 import re
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
-from fibernorm import perron
+from fibernorm import cli, perron
 from fibernorm.cli import (
     _FLAGS,
     USAGE,
@@ -104,6 +105,69 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_non_square_matrix():
     with pytest.raises(ParseError):
         parse_input("matrix = [[1,1,0],[1,0,1]]\n")
+
+
+# Every part of up to four characters over these: digits, signs, the
+# blanks str.strip and int() treat alike and those they do not, and
+# characters neither reads as an integer.
+_PART_ALPHABET = "0123456789+- \t\x0b\x0c\x1c\x1f_a."
+
+
+def test_int_reads_a_subset_of_parse_int_on_parts_without_underscores():
+    for n in range(1, 5):
+        for chars in product(_PART_ALPHABET, repeat=n):
+            part = "".join(chars)
+            try:
+                value = int(part)
+            except ValueError:
+                continue
+            if "_" in part:  # int() reads "1_0" as 10, so the map(int) path skips "_"
+                with pytest.raises(ParseError):
+                    cli._parse_int(part)
+            else:
+                assert cli._parse_int(part) == value, repr(part)
+
+
+def _reference_bare_int_list(text, line):
+    """An integer list read part by part, with no map(int) path: the
+    reference that parse_input must match on every document."""
+    parts = text.split(",")
+    if any(not p.strip() for p in parts):
+        raise ParseError(f"malformed integer list {text!r}", line)
+    return tuple(cli._parse_int(p, line) for p in parts)
+
+
+# "\x0b" and "\x1c" are left out: str.splitlines breaks a line at them.
+_LIST_DOCUMENTS = {
+    "blanks-and-tabs": "matrix = [[ 2 ,\t1 ],[ 1,1\t]]\n",
+    "plus": "matrix = [[+1,2],[3,4]]\n",
+    "leading-zero": "matrix = [[01,2],[3,4]]\n",
+    "minus-zero": "matrix = [[-0,1],[1,1]]\n",
+    "x1f-blank": "matrix = [[2,1],[1,\x1f1]]\n",
+    "nbsp-blank": "matrix = [[2,1],[1,\xa01]]\n",
+    "underscore": "matrix = [[1_0,1],[1,1]]\n",
+    "arabic-indic-digit": "matrix = [[\u0663,1],[1,1]]\n",
+    "4301-digits": "matrix = [[" + "9" * 4301 + ",1],[1,1]]\n",
+    "empty-row": "matrix = [[1,2],[]]\n",
+    "empty-part": "matrix = [[1,,2],[3,4]]\n",
+    "float": "matrix = [[1.0,2],[3,4]]\n",
+    "singularities": "genus = 2\nsingularities = +3, 03,\t3,\x1f3\nmatrix = [[2,1],[1,1]]\n",
+    "bad-singularities": "genus = 2\nsingularities = 3,,3\nmatrix = [[2,1],[1,1]]\n",
+    "bad-row-on-line-3": "# a comment\n\nmatrix = [[2,1],[1,x]]\n",
+}
+
+
+@pytest.mark.parametrize("text", _LIST_DOCUMENTS.values(), ids=_LIST_DOCUMENTS)
+def test_parse_input_matches_the_per_part_reference(text, monkeypatch):
+    def outcome():
+        try:
+            return parse_input(text)
+        except ParseError as exc:
+            return str(exc), exc.line
+
+    fast = outcome()
+    monkeypatch.setattr(cli, "_parse_bare_int_list", _reference_bare_int_list)
+    assert outcome() == fast
 
 
 def test_round_trip_through_serialize():

@@ -224,17 +224,19 @@ def _assert_dot_matches(matrix, levels):
     # The first differing line, not the whole text: pytest's diff of two
     # texts of megabytes would take minutes.
     dot = bratteli_dot(make_dim_group(matrix), levels)
-    assert not {"\0", "\1"} & set(dot)
+    assert not {"\0", "\1", "\2", "\3"} & set(dot)
     lines = zip_longest(dot.split("\n"), _reference_dot(matrix, levels).split("\n"))
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
 
 
 # Floor numbers cross from one digit to two, three and four, and to five
-# on the k = 4 matrix.  Ids are k<size>, _0 and _1 telling the 2x2 apart.
+# on the k = 4 matrix; the counts end inside, at and just past blocks of
+# ten floors.  Ids are k<size>, _0 and _1 telling the 2x2 apart.
 DOT_CASES = [
     pytest.param(matrix, levels, id=f"{name}-{levels}")
     for matrix, name in zip(DOT_MATRICES, ("k1", "k2_0", "k2_1", "k3", "k4", "k5"))
-    for levels in (2, 3, 10, 11, 50, 100, 101, 1001) + ((10_000,) if name == "k4" else ())
+    for levels in (2, 3, 9, 10, 11, 19, 20, 21, 50, 100, 101, 109, 110, 111, 1001)
+    + ((10_000,) if name == "k4" else ())
 ]
 
 

@@ -139,6 +139,20 @@ def test_primitivity_check_matches_a_boolean_power_oracle():
     assert None in answers and len(answers - {None, 1}) >= 3
 
 
+def test_primitivity_check_reads_only_the_pattern_of_huge_entries():
+    rng = random.Random(70)
+    for k in range(1, 9):
+        for _ in range(6):
+            pattern = [[int(rng.random() < 0.4) for _ in range(k)] for _ in range(k)]
+            huge = IntMatrix([[x * 2**70 for x in row] for row in pattern])
+            expected = _pattern_oracle(IntMatrix(pattern))
+            if expected is None:
+                with pytest.raises(NotPrimitive):
+                    primitivity_check(huge)
+            else:
+                assert primitivity_check(huge) == expected
+
+
 def test_primitivity_witness_is_smallest():
     rng = random.Random(314)
     for _ in range(20):
