@@ -208,8 +208,9 @@ def test_spectral_dominance_on_random_matrices():
 
 
 def test_gap_stays_finite_on_a_large_random_matrix():
-    # The char poly of this k=32 matrix has 51-bit coefficients: started on
-    # the Cauchy radius (~2^51), Durand-Kerner overflowed to NaN roots.
+    # The char poly of this k=32 matrix has 51-bit coefficients.  The
+    # Durand-Kerner finder used before Aberth-Ehrlich once started on the
+    # Cauchy radius (~2^51) and overflowed to NaN roots here.
     rng = random.Random(0)
     matrix = IntMatrix([[rng.randint(0, 2) for _ in range(32)] for _ in range(32)])
     data = perron_data(matrix)
