@@ -61,7 +61,10 @@ def complex_roots(p):
     (Gauss-Seidel order): one Horner pass gives p(z) and p'(z), and the
     Aberth step is N / (1 - N * sum 1/(z - w)) over the other iterates w,
     with N = p(z) / p'(z) the Newton correction.  A root is frozen once
-    |N| <= _STEP_TOL * (1 + |z|); the iteration stops when all are
+    |N| <= _STEP_TOL * (1 + |z|), or once |p(z)| is at most the rounding
+    error of Horner's rule, 2^-53 * sum |a_i| |z|^i, which is where the
+    iterates of a repeated root stop; a value whose modulus is past the
+    float range is never frozen.  The iteration stops when all roots are
     frozen, after _MAX_SWEEPS sweeps, or at the first iterate that is not
     finite, which is returned as it stands.  Returns roots sorted by real
     part, then imaginary part.  Raises NoConvergence when a coefficient
@@ -86,9 +89,9 @@ def complex_roots(p):
 def _aberth(z, lower):
     """Sweep the Aberth-Ehrlich update over z in place (see complex_roots).
 
-    lower holds a_{n-1} .. a_0 of the monic polynomial.  A Horner value
-    that overflows is never frozen: its step makes the iterate not finite.
+    lower holds a_{n-1} .. a_0 of the monic polynomial.
     """
+    terms = [(c, abs(c)) for c in lower]
     active = range(len(z))
     for _ in range(_MAX_SWEEPS):
         still = []
@@ -96,11 +99,20 @@ def _aberth(z, lower):
             zi = z[i]
             value = 1.0
             slope = 0j
-            for c in lower:
-                slope = slope * zi + value
-                value = value * zi + c
-            size = abs(value)
-            if size <= _STEP_TOL * (1.0 + abs(zi)) * abs(slope) and size != math.inf:
+            floor = 1.0
+            try:
+                r = abs(zi)
+                for c, m in terms:
+                    slope = slope * zi + value
+                    value = value * zi + c
+                    floor = floor * r + m
+                size = abs(value)
+                frozen = size < math.inf and (
+                    size <= _STEP_TOL * (1.0 + r) * abs(slope) or size <= 2.0**-53 * floor < math.inf
+                )
+            except OverflowError:  # abs() of a complex whose modulus is past the float range
+                frozen = False
+            if frozen:
                 continue
             repulsion = 0j
             for w in z:

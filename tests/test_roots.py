@@ -8,7 +8,7 @@ import pytest
 
 from fibernorm import roots
 from fibernorm.errors import NoConvergence
-from fibernorm.exact import CertificateStatus, IntMatrix, IntPolynomial, irreducibility_certificate
+from fibernorm.exact import CertificateStatus, IntMatrix, IntPolynomial, char_poly, irreducibility_certificate
 from fibernorm.perron import perron_data
 from fibernorm.roots import complex_roots
 
@@ -32,8 +32,8 @@ def _finite(values):
 
 def test_collinear_newton_polygon_vertices_give_the_roots_and_a_factor():
     # x^4 + 3x^3 - 6x^2 + 27x - 5: the hull vertices (1, log 27), (3, log 3)
-    # and (4, 0) are collinear.  Unmerged, the two edges put start points on
-    # one circle at the same angle, and those iterates never separated.
+    # and (4, 0) are collinear, and must be merged into one edge so that no
+    # two start points coincide.
     p = IntPolynomial([-1, 5, 1]) * IntPolynomial([5, -2, 1])
     found = complex_roots(p)
     assert len(found) == 4
@@ -51,22 +51,63 @@ def test_zero_roots_are_exact():
     assert abs(one - 1) < 1e-13
 
 
-def test_repeated_roots_stop_before_the_sweep_cap(monkeypatch):
-    # A triple root is found only to about eps^(1/3); the Newton
-    # correction still falls below the tolerance well before the cap, so
-    # more sweeps change nothing.
-    p = IntPolynomial([-1, 3, -3, 1]) * IntPolynomial([-6, 1, 1])
+def _power(f, e):
+    p = IntPolynomial([1])
+    for _ in range(e):
+        p = p * f
+    return p
+
+
+@pytest.mark.parametrize(
+    "factors, tol",
+    [
+        ([(1, 3), (2, 1), (-3, 1)], 1e-4),
+        ([(1, 5)], 1e-2),
+        ([(2, 4), (-1, 1)], 1e-2),
+    ],
+)
+def test_repeated_roots_stop_well_before_the_sweep_cap(monkeypatch, factors, tol):
+    # An m-fold root is found only to about eps^(1/m), where |p| meets the
+    # rounding error of Horner's rule and the Newton correction no longer
+    # shrinks; the rounding-floor test freezes the iterates there.
+    p = IntPolynomial([1])
+    for root, mult in factors:
+        p = p * _power(IntPolynomial([-root, 1]), mult)
     found = complex_roots(p)
-    for ours, exact in zip(sorted(found, key=abs), [1, 1, 1, 2, -3]):
-        assert abs(ours - exact) < 1e-4
-    monkeypatch.setattr(roots, "_MAX_SWEEPS", 2 * roots._MAX_SWEEPS)
+    exact = [root for root, mult in factors for _ in range(mult)]
+    assert len(found) == len(exact)
+    for ours in found:
+        assert min(abs(ours - x) for x in exact) < tol
+    monkeypatch.setattr(roots, "_MAX_SWEEPS", 30)
     assert complex_roots(p) == found
 
 
+def test_a_cubed_characteristic_polynomial_stops_well_before_the_sweep_cap(monkeypatch):
+    rng = random.Random(8)
+    B = IntMatrix([[rng.randint(0, 2) for _ in range(8)] for _ in range(8)])
+    p = _power(char_poly(B), 3)
+    found = complex_roots(p)
+    assert len(found) == 24 and _finite(found)
+    monkeypatch.setattr(roots, "_MAX_SWEEPS", 60)
+    assert complex_roots(p) == found
+
+
+@pytest.mark.parametrize("k", [10, 16])
+def test_complete_graph_gap_is_found_to_the_rounding_floor(k):
+    # J - I has the simple eigenvalue k - 1 and -1 of multiplicity k - 1,
+    # so the gap is 1 / (k - 1).  The -1 cluster can only be resolved to
+    # the radius rho where |p| = |z - k + 1| |z + 1|^(k-1) meets Horner's
+    # rounding error 2^-53 * 2^(k-1) * k near z = -1, rho = 2^(1 - 53/(k-1)):
+    # 0.034 at k = 10, 0.173 at k = 16.
+    A = IntMatrix([[int(i != j) for j in range(k)] for i in range(k)])
+    data = perron_data(A)
+    assert abs(data.eigenvalue - (k - 1)) < 1e-9
+    assert 1.0 <= data.gap * (k - 1) <= 1.0 + 2.0 ** (1 - 53 / (k - 1))
+
+
 def test_a_120_bit_companion_settles_in_a_few_sweeps(monkeypatch):
-    # The Durand-Kerner finder used before, started on one circle, took 65
-    # sweeps here.  The Newton polygon puts one start point at |c_7|, about
-    # the size of the Perron root, and seven near 1.
+    # The Newton polygon puts one start point at |c_7|, about the size of
+    # the Perron root, and seven near 1.
     _, p = _companion_poly(8, 120)
     found = complex_roots(p)
     assert _finite(found)
@@ -107,3 +148,21 @@ def test_an_overflowing_horner_value_is_not_frozen():
     # as a root.
     assert not _finite(complex_roots(IntPolynomial([0, -(2**600), 1])))
 
+
+def test_a_start_value_past_the_float_range_does_not_raise():
+    # x^2 - a x with a = 97 * 10^152, the characteristic polynomial of
+    # [[1, 1], [a - 1, a - 1]]: at the start point of modulus a, p has
+    # finite parts but a modulus past the float range, so abs() of it
+    # would raise OverflowError.  The finder either finds a or returns a
+    # root that is not finite, and perron_data either finds a or raises
+    # NoConvergence.
+    a = 97 * 10**152
+    found = complex_roots(IntPolynomial([0, -a, 1]))
+    assert 0j in found
+    if _finite(found):
+        assert abs(max(found, key=abs) - a) <= 1e-12 * a
+    try:
+        data = perron_data(IntMatrix([[1, 1], [a - 1, a - 1]]))
+    except NoConvergence:
+        return
+    assert abs(data.eigenvalue - a) <= 1e-12 * a
