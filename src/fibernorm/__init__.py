@@ -40,7 +40,6 @@ _SOURCE = {
     "cone_axiom_check": "norm",
     "cone_membership": "norm",
     "cone_points_text": "norm",
-    "elements_equal": "dimgroup",
     "enumerate_cone_points": "norm",
     "euler_pairing_fiber": "bundle",
     "eventual_positivity": "perron",
@@ -48,13 +47,11 @@ _SOURCE = {
     "fiber_class_report": "norm",
     "h2_rank": "bundle",
     "irreducibility_certificate": "exact",
-    "is_positive": "dimgroup",
     "make_dim_group": "dimgroup",
     "matrix_min_poly": "exact",
     "mult_matrix": "numberfield",
     "newton_power_sums": "exact",
     "norm_value": "numberfield",
-    "order_unit": "dimgroup",
     "perron_data": "perron",
     "primitivity_check": "perron",
     "telescope": "dimgroup",

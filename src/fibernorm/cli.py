@@ -34,12 +34,9 @@ need (``errors`` and ``matrix``).  Each handler imports its own layer
 when it runs, so a process loads the layers of its one subcommand and
 no others.
 
-``cone --box r`` costs one walk over the (2r+1)^(k-2) prefixes of the
-first k-2 coordinates, one block of last two coordinates per distinct
-prefix dot product, and the output text: ``norm.cone_points_text``
-renders the points directly, without point tuples or per-integer
-formatting.  Its budget (``_OUTPUT_BUDGET``) counts the whole (2r+1)^k
-box.
+``cone --box r`` renders its points with ``norm.cone_points_text``,
+whose docstring gives the cost.  Its budget (``_OUTPUT_BUDGET``) counts
+the whole (2r+1)^k box.
 """
 
 import collections

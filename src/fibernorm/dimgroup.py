@@ -1,16 +1,18 @@
 """Stationary dimension groups: Z^k -> Z^k -> ... along one primitive matrix.
 
 Elements are pairs (vector, stage) identified under telescoping,
-(v, n) ~ (A v, n+1).  Nothing is normalized automatically; equality and
-order questions telescope on demand, which keeps vectors small and every
-operation exact.
+(v, n) ~ (A v, n+1).  Nothing is normalized automatically; telescope
+moves an element to a later stage on demand, which keeps vectors small
+and every operation exact.  An element's sign in the order is
+perron.eventual_positivity of its vector at any stage, since
+telescoping does not change it; the order unit is the all-ones vector.
 """
 
 from collections import namedtuple
 
 from .errors import BackwardTelescope, TooFewLevels
 from .exact import int_vector
-from .perron import eventual_positivity, primitivity_check
+from .perron import primitivity_check
 
 
 class StationaryDimGroup(namedtuple("StationaryDimGroup", "matrix witness")):
@@ -66,25 +68,6 @@ def telescope(group, element, new_stage):
     for _ in range(steps):
         v = power.apply(v)
     return DimGroupElement(v, new_stage)
-
-
-def elements_equal(group, e1, e2):
-    """Equality in the inductive limit: telescope both to a common stage."""
-    stage = max(e1.stage, e2.stage)
-    return telescope(group, e1, stage).v == telescope(group, e2, stage).v
-
-
-def is_positive(group, element):
-    """Sign of the element in the dimension group order.
-
-    Telescoping does not change the answer, so only the vector matters.
-    """
-    return eventual_positivity(group.matrix, element.v)
-
-
-def order_unit(group):
-    """The distinguished order unit: the all-ones vector at stage zero."""
-    return DimGroupElement((1,) * group.k, 0)
 
 
 def check_levels(levels):

@@ -8,14 +8,9 @@ the expected value is 2g-2, twice that for the simplicial (Gromov) norm;
 reports state the measured values and the signed discrepancy, they never
 assert the coincidence.
 
-The cone's lattice points in a box of radius r come from one walk over
-the (2r+1)^(k-2) prefixes of the first k-2 coordinates, each carried with
-its dot product s against the functional.  A prefix's points depend on
-it only through s, and for each x_{k-1} the admissible last coordinates
-form one interval, so the block of last two coordinates is worked out
-once per distinct s.  enumerate_cone_points turns the blocks into
-tuples, cone_points_text straight into report text, which later prefixes
-with the same s copy.
+enumerate_cone_points lists the cone's lattice points in a box, one norm
+value per box point; cone_points_text renders the same points as report
+text by a walk, whose cost its docstring gives.
 """
 
 from collections import namedtuple
@@ -138,92 +133,55 @@ def _box_span(box_radius):
     return range(-box_radius, box_radius + 1)
 
 
-def _cone_walk(cone, span, cells, start):
-    """Split the cone's points in the box span^k by their last two coordinates.
-
-    t is the cone's functional, read directly (cone.value is not
-    called).  cells[i] stands for the coordinate span[i]; a prefix is
-    start followed by the cells of its first k-2 coordinates, built one
-    level at a time together with its dot product s with t[:-2].
-    Returns (prefixes, runs): prefixes lists every (prefix, s) in
-    lexicographic order, and runs(s) lists (cell, lo, hi) in order for
-    each x_{k-1} with points, cell standing for x_{k-1} and span[lo:hi]
-    being the admissible x_k, one interval read off s + t_{k-1} x_{k-1}
-    and the sign of t_k.  A prefix's points depend on it only through s.
-    For k = 1 the one prefix is start and x_{k-1} is an empty cell.
-    """
-    *head, last = cone.functional.t
-    box_radius, n = span[-1], len(span)
-    if head:
-        *head, before_last = head
-        penultimate = [(cell, x * before_last) for cell, x in zip(cells, span)]
-    else:
-        penultimate = [(start[:0], 0)]
-    prefixes = [(start, 0)]
-    for coefficient in head:
-        steps = [(cell, x * coefficient) for cell, x in zip(cells, span)]
-        prefixes = [(p + cell, s + d) for p, s in prefixes for cell, d in steps]
-
-    def runs(s):
-        found = []
-        for cell, d in penultimate:
-            total = s + d
-            if last > 0:  # total + x * last >= 0  <=>  x >= -(total // last)
-                lo, hi = max(0, box_radius - total // last), n
-            elif last < 0:  # x <= total // -last
-                lo, hi = 0, min(n, box_radius + 1 + total // -last)
-            else:
-                lo, hi = 0, n if total >= 0 else 0
-            if lo < hi:
-                found.append((cell, lo, hi))
-        return found
-
-    return prefixes, runs
-
-
 def enumerate_cone_points(cone, box_radius):
     """Lattice points z of the box with z . t >= 0, lexicographic order.
 
-    The points of a (k-2)-prefix are the prefix followed by one list of
-    (x_{k-1}, x_k) tails, which depends on the prefix only through its
-    dot product s with t[:-2]: each distinct s builds its tails once.
-    Cost: one prefix walk, the tails of each distinct s, and one tuple
-    per point returned; no dot product per box point.
+    The box scan, one norm value per box point: the definition that
+    cone_points_text is checked against, and slower than it on purpose.
     """
     span = _box_span(box_radius)
-    lasts = [(x,) for x in span]
-    prefixes, runs = _cone_walk(cone, span, lasts, ())
-    tails = {}  # s -> the (x_{k-1}, x_k) of the points of a prefix with sum s
-    points = []
-    for prefix, s in prefixes:
-        if s not in tails:
-            tails[s] = [cell + y for cell, lo, hi in runs(s) for y in lasts[lo:hi]]
-        points += map(prefix.__add__, tails[s])
-    return points
+    return [z for z in product(span, repeat=len(cone.functional.t)) if cone.value(z) >= 0]
 
 
 def cone_points_text(cone, box_radius):
     """The cone points of the box as report text, without building them.
 
     Equal to the report rendering (cli._format_value) of
-    enumerate_cone_points(cone, box_radius), "[[z1,...,zk],...]".  The
-    first (k-2)-prefix with a given dot product s renders its block of
-    points with one str.join per x_{k-1}, over the precomputed texts of
-    the last coordinates.  Every later prefix with the same s copies that
-    block with one join and one str.replace of the first prefix's text by
-    its own: "[" opens every point and nothing else, so a prefix text
-    matches only at the start of a point.  Cost: the prefix walk, one
-    block per distinct s, one replace per other prefix, and the output
-    text; no point tuple and no per-integer formatting.
+    enumerate_cone_points(cone, box_radius), "[[z1,...,zk],...]".  One
+    walk builds the text of every prefix of the first k-2 coordinates,
+    "[x1,...,x_{k-2},", in lexicographic order, each carried with its dot
+    product s with t[:-2].  A prefix's points depend on it only through
+    s: for each x_{k-1} the admissible x_k form one interval, read off
+    s + t_{k-1} x_{k-1} and the sign of t_k.  The first prefix with a
+    given s renders its block of points with one str.join per x_{k-1},
+    over the precomputed texts of the last coordinates.  Every later
+    prefix with the same s copies that block with one join and one
+    str.replace of the first prefix's text by its own: "[" opens every
+    point and nothing else, so a prefix text matches only at the start
+    of a point.  Cost: the (2r+1)^(k-2) prefixes, one block per distinct
+    s, one replace per other prefix, and the output text; no point tuple
+    and no per-integer formatting.  So it falls when the leading entries
+    of t are small next to 2r+1 and many prefixes share s; with every s
+    distinct it is one join per (k-1)-prefix.
 
     >>> from fibernorm.numberfield import TraceFunctional
     >>> cone_points_text(ConeDescription(TraceFunctional((2, 3))), 1)
     '[[-1,1],[0,0],[0,1],[1,0],[1,1]]'
     """
     span = _box_span(box_radius)
+    r, n = span[-1], len(span)
     lasts = [str(x) for x in span]
     cells = [x + "," for x in lasts]
-    prefixes, runs = _cone_walk(cone, span, cells, "[")
+    *head, last = cone.functional.t
+    if head:
+        *head, before_last = head
+        penultimate = [(cell, x * before_last) for cell, x in zip(cells, span)]
+    else:  # k = 1: the one prefix "[" and an empty x_{k-1}
+        penultimate = [("", 0)]
+    prefixes = [("[", 0)]
+    for coefficient in head:
+        steps = [(cell, x * coefficient) for cell, x in zip(cells, span)]
+        prefixes = [(p + cell, s + d) for p, s in prefixes for cell, d in steps]
     out = []
     blocks = {}  # s -> the first prefix with sum s and the range of its rows in out
     for prefix, s in prefixes:
@@ -233,9 +191,17 @@ def cone_points_text(cone, box_radius):
                 out.append(",".join(out[a:b]).replace(first, prefix))
             continue
         a = len(out)
-        for cell, lo, hi in runs(s):
-            row = prefix + cell
-            out.append(row + ("]," + row).join(lasts[lo:hi]) + "]")
+        for cell, d in penultimate:
+            total = s + d
+            if last > 0:  # total + x * last >= 0  <=>  x >= -(total // last)
+                lo, hi = max(0, r - total // last), n
+            elif last < 0:  # x <= total // -last
+                lo, hi = 0, min(n, r + 1 + total // -last)
+            else:
+                lo, hi = 0, n if total >= 0 else 0
+            if lo < hi:
+                row = prefix + cell
+                out.append(row + ("]," + row).join(lasts[lo:hi]) + "]")
         blocks[s] = prefix, a, len(out)
     return "[" + ",".join(out) + "]"
 

@@ -147,33 +147,32 @@ def _solve(rows, v):
     return x
 
 
-def _inverse_iterate(rows, tol=_TOL, max_iter=_MAX_ITER):
+def _inverse_iterate(rows):
     """L1-normalized fixed point of v -> _solve(rows, v), started at 1/k.
 
-    Stops once successive iterates differ by less than tol in L1 norm,
-    after at most max_iter solves.  At a shift this close to the
+    Stops once successive iterates differ by less than _TOL in L1 norm,
+    after at most _MAX_ITER solves.  At a shift this close to the
     eigenvalue that takes two or three solves, after which the change
     sits at the rounding floor; so a change that stops shrinking while
-    still at or above tol raises NoConvergence at once, as does an
-    iterate that is not finite.  perron_data always uses the defaults;
-    the arguments let tests reach the stall rule and the budget.
+    still at or above _TOL raises NoConvergence at once, as does an
+    iterate that is not finite.
     """
     k = len(rows)
     v = [1.0 / k] * k
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = _solve(rows, v)
         total = sum(x)
         if not (math.isfinite(total) and total):
             raise NoConvergence("inverse iteration produced a vector that is not finite")
         w = [t / total for t in x]
         change = sum(map(abs, map(sub, w, v)))
-        if change < tol:
+        if change < _TOL:
             return tuple(w)
         if not change < last:
-            raise NoConvergence(f"inverse iteration stalled at L1 change {change:.3g} >= {tol}")
+            raise NoConvergence(f"inverse iteration stalled at L1 change {change:.3g} >= {_TOL}")
         last, v = change, w
-    raise NoConvergence(f"inverse iteration did not settle within {max_iter} solves")
+    raise NoConvergence(f"inverse iteration did not settle within {_MAX_ITER} solves")
 
 
 def perron_data(A):

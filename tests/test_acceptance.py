@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product
 
 from fibernorm.bundle import SingularityData, build_bundle, validate_singularity_data
 from fibernorm.cli import main
-from fibernorm.dimgroup import DimGroupElement, is_positive, make_dim_group, order_unit, telescope
+from fibernorm.dimgroup import DimGroupElement, make_dim_group, telescope
 from fibernorm.errors import FibernormError
 from fibernorm.exact import IntMatrix, char_poly, newton_power_sums
 from fibernorm.norm import ConeDescription, cone_axiom_check, fiber_class_report
@@ -26,7 +26,7 @@ from fibernorm.numberfield import (
     trace_via_mult,
     trace_via_newton,
 )
-from fibernorm.perron import Sign, perron_data, primitivity_check
+from fibernorm.perron import Sign, eventual_positivity, perron_data, primitivity_check
 from fibernorm.roots import complex_roots
 
 QUAD = IntMatrix([[2, 1], [1, 1]])
@@ -179,12 +179,12 @@ def test_criterion_09_dimension_group_coherence():
     with criterion(9, "positivity invariant under telescoping; unit positive"):
         for matrix in (FIB, QUAD):
             group = make_dim_group(matrix)
-            assert is_positive(group, order_unit(group)).sign is Sign.POSITIVE
+            assert eventual_positivity(group.matrix, (1,) * group.k).sign is Sign.POSITIVE
             for v in product(range(-3, 4), repeat=2):
-                base = is_positive(group, DimGroupElement(v, 0)).sign
+                base = eventual_positivity(group.matrix, v).sign
                 for stage in range(1, 5):
                     moved = telescope(group, DimGroupElement(v, 0), stage)
-                    assert is_positive(group, moved).sign == base
+                    assert eventual_positivity(group.matrix, moved.v).sign == base
 
 
 def test_criterion_10_desk_scale_fiber_instance():

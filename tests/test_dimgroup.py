@@ -8,10 +8,7 @@ import pytest
 from fibernorm.dimgroup import (
     DimGroupElement,
     bratteli_dot,
-    elements_equal,
-    is_positive,
     make_dim_group,
-    order_unit,
     telescope,
 )
 from fibernorm.errors import (
@@ -21,7 +18,7 @@ from fibernorm.errors import (
     TooFewLevels,
 )
 from fibernorm.exact import IntMatrix
-from fibernorm.perron import Sign
+from fibernorm.perron import Sign, eventual_positivity
 
 FIB = IntMatrix([[1, 1], [1, 0]])
 QUAD = IntMatrix([[2, 1], [1, 1]])
@@ -136,27 +133,19 @@ def test_telescope_matches_step_by_step(monkeypatch):
                     assert all(matrix is group.matrix for matrix in applied)
 
 
-def test_element_equality_via_telescoping():
-    group = make_dim_group(FIB)
-    e = DimGroupElement((1, 2), 0)
-    assert elements_equal(group, e, telescope(group, e, 3))
-    assert not elements_equal(group, e, DimGroupElement((1, 3), 0))
-
-
 def test_is_positive_examples():
     group = make_dim_group(FIB)
-    sign = is_positive(group, DimGroupElement((1, -1), 0))
+    sign = eventual_positivity(group.matrix, (1, -1))
     assert sign.sign is Sign.POSITIVE and sign.witness == 3
-    assert is_positive(group, DimGroupElement((-1, 1), 0)).sign is Sign.NEGATIVE
-    assert is_positive(group, DimGroupElement((0, 0), 7)).sign is Sign.ZERO
+    assert eventual_positivity(group.matrix, (-1, 1)).sign is Sign.NEGATIVE
+    assert eventual_positivity(group.matrix, (0, 0)).sign is Sign.ZERO
 
 
 def test_order_unit_convention_and_positivity():
+    # The order unit is the all-ones vector at stage zero.
     for matrix in (FIB, QUAD):
         group = make_dim_group(matrix)
-        unit = order_unit(group)
-        assert unit == DimGroupElement((1,) * group.k, 0)
-        sign = is_positive(group, unit)
+        sign = eventual_positivity(group.matrix, (1,) * group.k)
         assert sign.sign is Sign.POSITIVE
         assert sign.witness <= group.witness
 
@@ -165,10 +154,10 @@ def test_positivity_invariant_under_telescoping():
     for matrix in (FIB, QUAD):
         group = make_dim_group(matrix)
         for v in product(range(-3, 4), repeat=2):
-            base = is_positive(group, DimGroupElement(v, 0)).sign
+            base = eventual_positivity(group.matrix, v).sign
             for stage in range(1, 5):
                 moved = telescope(group, DimGroupElement(v, 0), stage)
-                assert is_positive(group, moved).sign == base
+                assert eventual_positivity(group.matrix, moved.v).sign == base
 
 
 def test_positive_plus_positive_is_positive():
@@ -176,25 +165,25 @@ def test_positive_plus_positive_is_positive():
     positives = [
         v
         for v in product(range(-3, 4), repeat=2)
-        if is_positive(group, DimGroupElement(v, 0)).sign is Sign.POSITIVE
+        if eventual_positivity(group.matrix, v).sign is Sign.POSITIVE
     ]
     for v1 in positives:
         for v2 in positives:
             total = tuple(a + b for a, b in zip(v1, v2))
-            assert is_positive(group, DimGroupElement(total, 0)).sign is Sign.POSITIVE
+            assert eventual_positivity(group.matrix, total).sign is Sign.POSITIVE
 
 
 def test_order_unit_dominates_decided_positives():
     for matrix in (FIB, QUAD):
         group = make_dim_group(matrix)
-        unit = order_unit(group).v
+        unit = (1,) * group.k
         for v in product(range(-2, 3), repeat=2):
-            if is_positive(group, DimGroupElement(v, 0)).sign is not Sign.POSITIVE:
+            if eventual_positivity(group.matrix, v).sign is not Sign.POSITIVE:
                 continue
             dominated = False
             for c in range(1, 51):
                 diff = tuple(c * u - x for u, x in zip(unit, v))
-                if is_positive(group, DimGroupElement(diff, 0)).sign is Sign.POSITIVE:
+                if eventual_positivity(group.matrix, diff).sign is Sign.POSITIVE:
                     dominated = True
                     break
             assert dominated, f"no multiple of the unit dominates {v}"

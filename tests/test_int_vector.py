@@ -15,7 +15,6 @@ from fibernorm.bundle import SingularityData, build_bundle, euler_pairing_fiber,
 from fibernorm.dimgroup import (
     DimGroupElement,
     bratteli_dot,
-    is_positive,
     make_dim_group,
     telescope,
 )
@@ -61,7 +60,6 @@ ENTRY_POINTS = {
     "eventual_positivity": (lambda v: eventual_positivity(FIB, v), 2),
     "DimGroupElement": (DimGroupElement, None),
     "telescope": (lambda v: telescope(FIB_GROUP, DimGroupElement(v), 1), 2),
-    "is_positive": (lambda v: is_positive(FIB_GROUP, DimGroupElement(v)), 2),
     "fiber_class_report": (lambda v: fiber_class_report(BUNDLE, v), 4),
     "IntMatrix.apply": (FIB.apply, 2),
     "SingularityData": (SingularityData, None),

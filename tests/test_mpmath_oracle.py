@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from fibernorm import perron
 from fibernorm.errors import NotPrimitive
 from fibernorm.exact import IntMatrix, char_poly
 from fibernorm.perron import _inverse_iterate, _lu, _transposed, perron_data, primitivity_check
@@ -172,13 +173,14 @@ def test_the_left_vector_is_the_right_vector_of_the_transpose():
     [_cycle_with_loop(16), _random_primitive(24, 24), _blocks_joined(3, 8), _companion_with_pendant(0, 40)],
     ids=["cycle-k16", "random-k24", "blocks-k16", "pendant-b40-0"],
 )
-def test_a_shift_a_few_ulps_either_side_of_the_root_gives_the_same_vectors(rows):
+def test_a_shift_a_few_ulps_either_side_of_the_root_gives_the_same_vectors(rows, monkeypatch):
     # Below the root, mu I - A is no longer an M-matrix: the last pivot
     # may take either sign, and the floor keeps it.
     data = perron_data(IntMatrix(rows))
     with mpmath.workdps(DIGITS):
         lam, right, left = _oracle(rows, data)
+    monkeypatch.setattr(perron, "_MAX_ITER", 10)
     for mu in (float(lam) * (1 - 4 * sys.float_info.epsilon), float(lam) * (1 + 4 * sys.float_info.epsilon)):
         factors = _lu(IntMatrix(rows), mu)
-        assert _relative_error(_inverse_iterate(factors, 1e-12, 10), right) < 1e-14
-        assert _relative_error(_inverse_iterate(_transposed(factors), 1e-12, 10), left) < 1e-14
+        assert _relative_error(_inverse_iterate(factors), right) < 1e-14
+        assert _relative_error(_inverse_iterate(_transposed(factors)), left) < 1e-14

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from fibernorm.errors import DimensionMismatch, NoConvergence, NotNonnegative, NotPrimitive
+from fibernorm import perron
 from fibernorm.exact import IntMatrix, char_poly
 from fibernorm.perron import (
     ITERATION_BOUND,
@@ -208,9 +209,8 @@ def test_spectral_dominance_on_random_matrices():
 
 
 def test_gap_stays_finite_on_a_large_random_matrix():
-    # The char poly of this k=32 matrix has 51-bit coefficients.  The
-    # Durand-Kerner finder used before Aberth-Ehrlich once started on the
-    # Cauchy radius (~2^51) and overflowed to NaN roots here.
+    # The char poly of this k=32 matrix has 51-bit coefficients: its top
+    # root must come out finite, not overflow.
     rng = random.Random(0)
     matrix = IntMatrix([[rng.randint(0, 2) for _ in range(32)] for _ in range(32)])
     data = perron_data(matrix)
@@ -220,8 +220,8 @@ def test_gap_stays_finite_on_a_large_random_matrix():
 
 
 def test_perron_root_is_relatively_exact_on_a_cycle_with_a_loop():
-    # A 16-cycle plus one self-loop has gap 0.94: a Rayleigh quotient with
-    # an absolute stopping test stopped 1.2e-10 short of the root.
+    # A 16-cycle plus one self-loop has gap 0.94, so the root needs a
+    # relative stopping test.
     matrix = _cycle_with_loop(16)
     data = perron_data(matrix)
     assert _brackets_root(char_poly(matrix), data.eigenvalue)
@@ -248,41 +248,45 @@ def _perron_factors(matrix):
     return _lu(matrix, perron_data(matrix).eigenvalue)
 
 
-def test_no_convergence_when_budget_exhausted():
+def test_no_convergence_when_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(perron, "_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match="within 1 solves"):
-        _inverse_iterate(_perron_factors(QUAD), 1e-12, 1)
+        _inverse_iterate(_perron_factors(QUAD))
 
 
-def test_three_solves_settle_the_16_cycle_with_a_loop():
+def test_three_solves_settle_the_16_cycle_with_a_loop(monkeypatch):
     # gap 0.94, so an iteration that converges at the rate of the gap needs
     # hundreds of steps; at the Perron root each vector settles in two solves.
     matrix = _cycle_with_loop(16)
     rows = _perron_factors(matrix)
     data = perron_data(matrix)
-    assert _inverse_iterate(rows, 1e-12, 3) == data.right
-    assert _inverse_iterate(_transposed(rows), 1e-12, 3) == data.left
+    monkeypatch.setattr(perron, "_MAX_ITER", 3)
+    assert _inverse_iterate(rows) == data.right
+    assert _inverse_iterate(_transposed(rows)) == data.left
     assert all(x > 0 for x in data.right + data.left)
 
 
-def test_no_convergence_at_the_rounding_floor_is_raised_at_once():
+def test_no_convergence_at_the_rounding_floor_is_raised_at_once(monkeypatch):
     # After two solves the change sits at the rounding floor, 2.4e-16 here:
-    # once it stops shrinking the loop gives up, not after max_iter solves.
+    # once it stops shrinking the loop gives up, not after _MAX_ITER solves.
     rows = _perron_factors(_cycle_with_loop(16))
+    monkeypatch.setattr(perron, "_TOL", 1e-20)
     start = time.perf_counter()
     with pytest.raises(NoConvergence, match="stalled"):
-        _inverse_iterate(rows, 1e-20, 100_000)
+        _inverse_iterate(rows)
     assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("k", range(12, 25))
-def test_a_tolerance_below_the_rounding_floor_never_spends_the_budget(k):
+def test_a_tolerance_below_the_rounding_floor_never_spends_the_budget(k, monkeypatch):
     # Some of these iterates reach an exact fixed point (change 0.0) and
     # meet the tolerance; the others stall and raise at once.
     rows = _perron_factors(_cycle_with_loop(k))
+    monkeypatch.setattr(perron, "_TOL", 1e-20)
     for factors in (rows, _transposed(rows)):
         start = time.perf_counter()
         try:
-            _inverse_iterate(factors, 1e-20, 100_000)
+            _inverse_iterate(factors)
         except NoConvergence:
             pass
         assert time.perf_counter() - start < 0.1
