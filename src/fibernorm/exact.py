@@ -1,21 +1,25 @@
 """Exact integer polynomials, polynomials of integer matrices, and certificates.
 
 Everything in this module is arbitrary precision and uses only exact
-arithmetic (the characteristic polynomial comes from one solve modulo a
-power of the prime 2^61 - 1 that a proved coefficient bound makes exact,
-or from Berkowitz's recursion, which does no division at all), so results
-are bit-for-bit reproducible.  Floats enter only the search for a rational
-factor of degree 2 or more (integer roots are found exactly, by Hensel
-lifting): numeric roots propose candidate factors, and only an exact
-division accepts one.  All values are immutable once built.
+arithmetic (the characteristic polynomial comes from Krylov solves modulo
+a few primes below 2^27 joined by the Chinese remainder theorem, or from
+one solve modulo a power of the prime 2^61 - 1, either made exact by a
+proved coefficient bound, or from Berkowitz's recursion, which does no
+division at all), so results are bit-for-bit reproducible.  Floats enter
+only the search for a rational factor of degree 2 or more (integer roots
+are found exactly, by Hensel lifting): numeric roots propose candidate
+factors, and only an exact division accepts one.  All values are
+immutable once built.
 """
 
 import cmath
 import itertools
+from array import array
 from collections import namedtuple
 from enum import Enum
 from math import gcd, isqrt
 from operator import mul
+from sys import byteorder
 
 from .errors import BadReductionPrime, NoConvergence
 from .matrix import IntMatrix, int_vector
@@ -50,6 +54,25 @@ _BERKOWITZ_MAX_K = 8
 _KRYLOV_MAX_ROW_BITS = 24
 
 _MERSENNE = 2**61 - 1  # a prime: the Krylov solve runs modulo a power of it
+
+# The lane primes: the 32 largest primes below 2^27, descending (the test
+# files prove each one prime).  As p < 2^27, k (p - 1)^2 + p < 2^64 for
+# every k <= _LANE_MAX_K, so no sum the lane solve forms carries out of
+# its 64-bit lane.  The Krylov path takes the lane solve from
+# _LANE_MIN_K on when at most one lane prime per _LANE_K_PER_PRIME rows,
+# and at most _LANE_MAX_PRIMES, pass twice the coefficient bound; the
+# primes past those are spares for the ones that divide det K.
+_LANE_PRIMES = (
+    134217689, 134217649, 134217617, 134217613, 134217593, 134217541, 134217529, 134217509,
+    134217497, 134217493, 134217487, 134217467, 134217439, 134217437, 134217409, 134217403,
+    134217401, 134217367, 134217361, 134217353, 134217323, 134217301, 134217277, 134217257,
+    134217247, 134217221, 134217199, 134217173, 134217163, 134217157, 134217131, 134217103,
+)
+_LANE_MAX_K = 1023
+_LANE_MIN_K = 16
+_LANE_K_PER_PRIME = 6
+_LANE_MAX_PRIMES = 24
+_LANE_MASK = 2**64 - 1
 
 # IntPolynomial._squarefree_q before _squarefree_prime has run on it
 _UNKNOWN = object()
@@ -158,12 +181,16 @@ class IntPolynomial:
 def char_poly(A):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Past _BERKOWITZ_MAX_K it comes from one linear solve modulo Q on the
-    Krylov vectors A^j e_1 (_char_poly_krylov).  At and below it, and
-    whenever that solve declines (e_1 not cyclic for A, which includes
-    every derogatory A; no unit pivot mod Q; or a coefficient bound past
-    _KRYLOV_MAX_ROW_BITS bits per row), from Berkowitz's division-free
-    recursion (_berkowitz).  Both are exact and give the same polynomial.
+    Past _BERKOWITZ_MAX_K it comes from the Krylov vectors A^j e_1
+    (_char_poly_krylov): solved modulo a few word primes, one at a time,
+    when few of them cover the coefficient bound for the size of A
+    (_char_poly_lanes), else in one solve modulo a power of 2^61 - 1
+    (_char_poly_mersenne).  At and below the cutover, and whenever the
+    Krylov path declines (e_1 not cyclic for A, which includes every
+    derogatory A; no pivot modulo the first prime; or a coefficient bound
+    past _KRYLOV_MAX_ROW_BITS bits per row), from Berkowitz's
+    division-free recursion (_berkowitz).  All three are exact and give
+    the same polynomial.
     """
     if A.k > _BERKOWITZ_MAX_K:
         p = _char_poly_krylov(A)
@@ -198,22 +225,53 @@ def _coefficient_bound(A):
 def _char_poly_krylov(A):
     """char_poly(A) from the Krylov vectors v_j = A^j e_1, or None.
 
-    v_0, ..., v_k are exact (k^3 products).  When v_0, ..., v_{k-1} are
-    independent, p(A) e_1 = 0 says p(x) = x^k - sum_j c_j x^j for the
-    unique solution c of sum_j c_j v_j = v_k.  That system is solved
-    modulo Q, the least power of the prime M = _MERSENNE above twice the
-    coefficient bound B, pivoting only on units mod Q: the entries M does
-    not divide.  Unit pivots make the Krylov matrix invertible mod M, so
-    its vectors are independent over the rationals and the solution mod Q
-    is c mod Q; as |c_j| <= B < Q/2, the symmetric residues are c
-    exactly.  None when some column has no unit left to pivot on, or when
-    B passes _KRYLOV_MAX_ROW_BITS bits per row.
+    When v_0, ..., v_{k-1} are independent, p(A) e_1 = 0 says p(x) = x^k -
+    sum_j c_j x^j for the unique solution c of sum_j c_j v_j = v_k, and
+    |c_j| <= B, the coefficient bound.  The solve is chosen from k and B
+    alone.  The lane solve (_char_poly_lanes) runs for _LANE_MIN_K <= k
+    <= _LANE_MAX_K when the first m = min(k // _LANE_K_PER_PRIME,
+    _LANE_MAX_PRIMES) lane primes pass 2B, which holds once 2B has at
+    most 26 m bits, as every lane prime exceeds 2^26.  Else the solve
+    modulo a power of 2^61 - 1 (_char_poly_mersenne) runs while B has at
+    most _KRYLOV_MAX_ROW_BITS bits per row, and past that None.
+
+    The rule is set from timings of both solves (min of 7 calls, median
+    over 4 seeded matrices per cell).  On dense 0-1, 0-2 and -3..3
+    matrices the lane solve took 0.48-0.93x the time of the other at k =
+    20-128 and about 0.8x at k = 16 (0-2 at k = 48: 0.57x, with 6
+    primes); the one loss the rule lets in is -3..3 at k = 18, 1.04-1.12x
+    with 3 primes.  It lost with 2 primes at k = 10-12 (up to 1.3x on
+    -3..3) and with one on the k-cycle plus a self-loop at k = 9-14
+    (1.1-1.2x), whose Krylov vectors are sparse.  A companion matrix's
+    Krylov vectors are unit vectors, so the other solve is cheap there
+    while the lane solve pays its dense cost: with 20-60-bit
+    coefficients at k = 16-32 char_poly takes about 1.4x the time it took
+    on the other solve.
+    """
+    k = A.k
+    bound = _coefficient_bound(A)
+    primes = min(k // _LANE_K_PER_PRIME, _LANE_MAX_PRIMES)
+    if _LANE_MIN_K <= k <= _LANE_MAX_K and (2 * bound).bit_length() <= 26 * primes:
+        return _char_poly_lanes(A, bound)
+    if bound.bit_length() > _KRYLOV_MAX_ROW_BITS * k:
+        return None
+    return _char_poly_mersenne(A, bound)
+
+
+def _char_poly_mersenne(A, bound):
+    """char_poly(A) by one Krylov solve modulo a power of 2^61 - 1, or None.
+
+    v_0, ..., v_k are exact (k^3 products).  The system sum_j c_j v_j =
+    v_k is solved modulo Q, the least power of the prime M = _MERSENNE
+    above twice the coefficient bound B, pivoting only on units mod Q:
+    the entries M does not divide.  Unit pivots make the Krylov matrix
+    invertible mod M, so its vectors are independent over the rationals
+    and the solution mod Q is c mod Q; as |c_j| <= B < Q/2, the symmetric
+    residues are c exactly.  None when some column has no unit left to
+    pivot on.
     """
     rows = A.rows
     k = len(rows)
-    bound = _coefficient_bound(A)
-    if bound.bit_length() > _KRYLOV_MAX_ROW_BITS * k:
-        return None
     Q = _MERSENNE
     while Q <= 2 * bound:
         Q *= _MERSENNE
@@ -238,11 +296,109 @@ def _char_poly_krylov(A):
             f = row[j] % Q
             if f:
                 row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], pivot)]
-    c = []  # c_{k-1}, ..., c_0: back substitution; system[j] is row j right of the unit
-    for j in reversed(range(k)):
-        u = system[j]
-        c.append((u[-1] - sum(map(mul, u, reversed(c)))) % Q)
-    return IntPolynomial([Q - x if x > Q // 2 else -x for x in c[::-1]] + [1])
+    return _lift(_back_substitute(system, Q), Q)
+
+
+def _char_poly_lanes(A, bound):
+    """char_poly(A) by Krylov solves modulo the lane primes, or None.
+
+    Each prime p of _LANE_PRIMES, in order, solves sum_j c_j v_j = v_k
+    mod p (_lane_solve), and the Chinese remainder theorem joins the
+    solutions until the product of the primes passes 2B; as |c_j| <= B,
+    the symmetric residues are then c exactly.  A pivot for every column
+    mod the first prime makes the Krylov matrix invertible mod p, so its
+    vectors are independent over the rationals; None when it has none (as
+    for M in _char_poly_mersenne), and a later prime with no pivot
+    divides its determinant and is skipped.  None also if the primes run
+    out, which needs more than the spare ones to divide that determinant.
+    """
+    rows = A.rows
+    # a column whose entries are residues mod every lane prime is packed once
+    columns = list(zip(*rows))
+    packed = [_pack(column) if min(column) >= 0 and max(column) < _LANE_PRIMES[-1] else None
+              for column in columns]
+    c, modulus = None, 1
+    for p in _LANE_PRIMES:
+        reduced = [_pack([x % p for x in column]) if packed_column is None else packed_column
+                   for packed_column, column in zip(packed, columns)]
+        residues = _lane_solve(rows, reduced, p)
+        if residues is None:
+            if c is None:
+                return None
+            continue
+        if c is None:
+            c = residues
+        else:  # Garner's step: x = c mod modulus and x = r mod p
+            t = pow(modulus, -1, p)
+            c = [x + modulus * ((r - x) * t % p) for x, r in zip(c, residues)]
+        modulus *= p
+        if modulus > 2 * bound:
+            return _lift(c, modulus)
+    return None
+
+
+def _lane_solve(rows, columns, p):
+    """The solution c of sum_j c_j v_j = v_k mod p, ascending, or None.
+
+    Vectors and equations are packed into ints of 64-bit lanes (_pack),
+    and columns[i] is column i of A mod p so packed.  A Krylov step A v =
+    sum_i v_i columns[i] is one bigint sum, unpacked and reduced mod p.
+    Equation r holds v_0[r], ..., v_k[r] from the lowest lane up; column
+    j is eliminated from the rows below the pivot by one bigint update
+    each, row >> 64 plus (-f mod p) times the pivot row right of its
+    normalised pivot, with f the row's lowest lane.  Lanes start below
+    p and each update adds at most (p - 1)^2 to one, so no lane exceeds
+    k (p - 1)^2 + p < 2^64 (k <= _LANE_MAX_K) and none carries into the
+    next.  None when some column has no pivot mod p.
+    """
+    k = len(rows)
+    size = 8 * k
+    v = [row[0] % p for row in rows]  # v_1; v_0 = e_1
+    krylov = [[int(i == 0) for i in range(k)], v]
+    for _ in range(k - 1):
+        v = [x % p for x in _unpack(sum(map(mul, v, columns)), size)]
+        krylov.append(v)
+    system = [_pack(equation) for equation in zip(*krylov)]
+    pivots = []  # pivot rows right of their unit, reduced mod p
+    for j in range(k):
+        r = next((r for r in range(j, k) if (system[r] & _LANE_MASK) % p), None)
+        if r is None:
+            return None
+        lanes = _unpack(system[r], 8 * (k + 1 - j))
+        system[r] = system[j]
+        inverse = pow(lanes[0] % p, -1, p)
+        pivot = [x * inverse % p for x in lanes[1:]]
+        pivots.append(pivot)
+        packed = _pack(pivot)
+        system[j + 1 :] = [(row >> 64) + (-(row & _LANE_MASK) % p) * packed for row in system[j + 1 :]]
+    return _back_substitute(pivots, p)
+
+
+def _pack(values):
+    """One int whose 64-bit lanes, lowest first, hold the values."""
+    return int.from_bytes(array("Q", values).tobytes(), byteorder)
+
+
+def _unpack(x, size):
+    """The 64-bit lanes of x, lowest first, for x below 2^(8 size)."""
+    return memoryview(x.to_bytes(size, byteorder)).cast("Q")
+
+
+def _back_substitute(pivots, q):
+    """c_0, ..., c_{k-1} mod q from the pivot rows of an elimination.
+
+    pivots[j] holds row j right of its unit pivot: the entries of columns
+    j + 1 .. k - 1, then the right-hand side.
+    """
+    c = []  # c_{k-1}, ..., c_0
+    for u in reversed(pivots):
+        c.append((u[-1] - sum(map(mul, u, reversed(c)))) % q)
+    return c[::-1]
+
+
+def _lift(c, modulus):
+    """char_poly x^k - sum_j c_j x^j from c mod modulus, by symmetric residues."""
+    return IntPolynomial([modulus - x if x > modulus // 2 else -x for x in c] + [1])
 
 
 def _berkowitz(A):

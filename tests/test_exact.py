@@ -259,8 +259,14 @@ def _blocks(top_left, top_right, bottom_right):
     return [a + b for a, b in zip(top_left, top_right)] + [zeros + d for d in bottom_right]
 
 
+def _weighted_shift(weights, last):
+    """A e_i = w_i e_{i+1} for i < k and A e_k = last: det K is a product of w's."""
+    k = len(last)
+    return [[weights[j] if i == j + 1 else 0 for j in range(k - 1)] + [last[i]] for i in range(k)]
+
+
 def _krylov_cases():
-    """Matrices with k = 13..64, and whether the Krylov solve answers."""
+    """Matrices with k = 13..128, and the solve that answers (None: Berkowitz)."""
     rng = random.Random(4813)
 
     def rand(k, low, high):
@@ -268,63 +274,153 @@ def _krylov_cases():
 
     b12 = rand(12, 0, 2)
     b7 = rand(7, -2, 2)
-    cases = [(f"random02-k{k}", rand(k, 0, 2), True) for k in (13, 16, 24, 33, 48, 64)]
-    cases += [(f"negative-k{k}", rand(k, -3, 3), True) for k in (13, 20)]
-    cases += [(f"companion200-k{k}", _companion([rng.randint(-2**200, 2**200) for _ in range(k)]), True)
+    lanes, mersenne = "_char_poly_lanes", "_char_poly_mersenne"
+    cases = [("random02-k13", rand(13, 0, 2), mersenne)]
+    cases += [(f"random02-k{k}", rand(k, 0, 2), lanes) for k in (16, 24, 33, 48, 64, 96, 128)]
+    cases += [(f"negative-k{k}", rand(k, -3, 3), solve) for k, solve in ((13, mersenne), (20, lanes))]
+    cases += [(f"signed-k{k}", rand(k, -1, 1), lanes) for k in (96, 128)]
+    cases += [(f"companion200-k{k}", _companion([rng.randint(-2**200, 2**200) for _ in range(k)]), mersenne)
               for k in (13, 20)]
-    cases += [(f"cycle-k{k}", _cycle_with_loop(k), True) for k in (16, 24)]
+    cases += [(f"cycle-k{k}", _cycle_with_loop(k), lanes) for k in (16, 24)]
     cases += [
-        ("permutation-k17", [[int(j == (i - 1) % 17) for j in range(17)] for i in range(17)], True),
+        ("cycle-k15", _cycle_with_loop(15), mersenne),
+        ("permutation-k17", [[int(j == (i - 1) % 17) for j in range(17)] for i in range(17)], lanes),
         # 5 (2^61 - 1) is no unit mod any power of 2^61 - 1, so column 1
         # skips row 1 for row 2
         ("word-prime-entry-k13", [[5 * exact._MERSENNE if (i, j) == (1, 0) else int(i == 2) if j == 0 else x
-                                   for j, x in enumerate(row)] for i, row in enumerate(rand(13, 0, 2))], True),
+                                   for j, x in enumerate(row)] for i, row in enumerate(rand(13, 0, 2))], mersenne),
+        # the same past the lane cutover: 5 p is no pivot mod the first lane
+        # prime p, and the entries 5 p and -1 are no residues, so A is taken
+        # mod each prime
+        ("lane-prime-entry-k24", [[5 * exact._LANE_PRIMES[0] if (i, j) == (1, 0) else int(i == 2) if j == 0
+                                   else -1 if (i, j) == (0, 1) else x
+                                   for j, x in enumerate(row)] for i, row in enumerate(rand(24, 0, 2))], lanes),
         # past the bits-per-row limit: Berkowitz runs, though e_1 is cyclic
-        ("dense200-k13", rand(13, -2**200, 2**200), False),
-        ("zero-k13", [[0] * 13 for _ in range(13)], False),
-        ("twice-identity-k16", [[2 * (i == j) for j in range(16)] for i in range(16)], False),
-        ("diag-B-B-k24", _blocks(b12, [[0] * 12] * 12, b12), False),
-        ("block-triangular-k14", _blocks(b7, rand(7, -2, 2), rand(7, -2, 2)), False),
+        ("dense200-k13", rand(13, -2**200, 2**200), None),
+        ("zero-k13", [[0] * 13 for _ in range(13)], None),
+        ("twice-identity-k16", [[2 * (i == j) for j in range(16)] for i in range(16)], None),
+        ("diag-B-B-k24", _blocks(b12, [[0] * 12] * 12, b12), None),
+        ("block-triangular-k14", _blocks(b7, rand(7, -2, 2), rand(7, -2, 2)), None),
     ]
-    return [pytest.param(rows, krylov, id=name) for name, rows, krylov in cases]
+    return [pytest.param(rows, solve, id=name) for name, rows, solve in cases]
 
 
-@pytest.mark.parametrize("rows, krylov", _krylov_cases())
-def test_krylov_char_poly_matches_berkowitz_and_falls_back_when_not_cyclic(monkeypatch, rows, krylov):
+@pytest.mark.parametrize("rows, solve", _krylov_cases())
+def test_krylov_char_poly_matches_berkowitz_and_falls_back_when_not_cyclic(monkeypatch, rows, solve):
     matrix = IntMatrix(rows)
-    expected = exact._berkowitz(matrix)
-    fell_back = []
+    bound = exact._coefficient_bound(matrix)
+    # past k = 64 Berkowitz takes seconds: the solve modulo a power of 2^61 - 1,
+    # which shares no step with the lane solve, stands in for it
+    expected = exact._berkowitz(matrix) if matrix.k <= 64 else exact._char_poly_mersenne(matrix, bound)
+    answered = []
 
-    def recorded(A):
-        fell_back.append(A)
-        return expected
+    def recording(name, real):
+        def recorded(*args):
+            result = real(*args)
+            if result is not None:
+                answered.append(name)
+            return result
+        return recorded
 
-    monkeypatch.setattr(exact, "_berkowitz", recorded)
+    for name in ("_char_poly_lanes", "_char_poly_mersenne"):
+        monkeypatch.setattr(exact, name, recording(name, getattr(exact, name)))
+    monkeypatch.setattr(exact, "_berkowitz", recording(None, lambda A: expected))
     assert char_poly(matrix) == expected
-    assert fell_back == ([] if krylov else [matrix])
-    assert max(map(abs, expected.coeffs)) <= exact._coefficient_bound(matrix)
+    assert answered == [solve]
+    assert max(map(abs, expected.coeffs)) <= bound
 
 
-def test_krylov_solve_is_exact_past_the_bits_per_row_limit(monkeypatch):
+def test_krylov_solve_is_exact_past_the_bits_per_row_limit():
     # char_poly sends these to Berkowitz for speed, not correctness
-    monkeypatch.setattr(exact, "_KRYLOV_MAX_ROW_BITS", 10**9)
     rng = random.Random(200)
     for k in (13, 16):
         matrix = _random_matrix(rng, k, -2**200, 2**200)
-        assert exact._char_poly_krylov(matrix) == exact._berkowitz(matrix)
+        bound = exact._coefficient_bound(matrix)
+        assert bound.bit_length() > exact._KRYLOV_MAX_ROW_BITS * k
+        assert exact._char_poly_mersenne(matrix, bound) == exact._berkowitz(matrix)
 
 
 def test_krylov_path_starts_above_the_cutover(monkeypatch):
     calls = []
-    monkeypatch.setattr(exact, "_char_poly_krylov", lambda A: calls.append(A.k))
+    monkeypatch.setattr(exact, "_char_poly_mersenne", lambda A, bound: calls.append(A.k))
     for k in (exact._BERKOWITZ_MAX_K, exact._BERKOWITZ_MAX_K + 1):
         matrix = IntMatrix(_cycle_with_loop(k))
         assert char_poly(matrix) == IntPolynomial([-1] + [0] * (k - 2) + [-1, 1])
     assert calls == [exact._BERKOWITZ_MAX_K + 1]
 
 
+def test_the_lane_solve_runs_from_its_cutover_while_few_primes_pass_the_bound(monkeypatch):
+    calls = []
+    for name in ("_char_poly_lanes", "_char_poly_mersenne"):
+        monkeypatch.setattr(exact, name, lambda A, bound, name=name: calls.append((name, A.k)))
+    for k in (exact._LANE_MIN_K - 1, exact._LANE_MIN_K):
+        exact._char_poly_krylov(IntMatrix(_cycle_with_loop(k)))
+    assert calls == [("_char_poly_mersenne", 15), ("_char_poly_lanes", 16)]
+    # at k = 16, 2B of 52 bits is two lane primes' worth, and 53 bits is not:
+    # a 16-cycle with one edge of weight w has the norms w and 1 (15 times),
+    # so B = C(15, 8) + w C(15, 7) = 6435 (w + 1)
+    k = exact._LANE_MIN_K
+    for bits, name in ((52, "_char_poly_lanes"), (53, "_char_poly_mersenne")):
+        w = 2 ** (bits - 1) // 12870
+        matrix = IntMatrix(_weighted_shift([w] + [1] * (k - 2), [1] + [0] * (k - 1)))
+        assert (2 * exact._coefficient_bound(matrix)).bit_length() == bits
+        calls.clear()
+        exact._char_poly_krylov(matrix)
+        assert calls == [(name, k)]
+
+
+def test_lanes_round_trip_and_never_carry():
+    top = 2**64 - 1
+    for values in ([0], [top], [0, top, 0], [top, 0, top, 1]):
+        packed = exact._pack(values)
+        assert packed == sum(x << (64 * i) for i, x in enumerate(values))
+        assert list(exact._unpack(packed, 8 * len(values))) == values
+    # the largest sum of the lane solve, at the largest k it admits: no carry
+    p = max(exact._LANE_PRIMES)
+    assert p < 2**27
+    assert exact._LANE_MAX_K * (p - 1) ** 2 + p < 2**64
+
+
+def test_the_lane_path_admits_no_size_past_its_no_carry_bound(monkeypatch):
+    calls = []
+    for name in ("_char_poly_lanes", "_char_poly_mersenne"):
+        monkeypatch.setattr(exact, name, lambda A, bound, name=name: calls.append((name, A.k)))
+    # one entry 1: the bound is 1, so only k can send it off the lanes
+    for k in (exact._LANE_MAX_K, exact._LANE_MAX_K + 1):
+        exact._char_poly_krylov(IntMatrix([[int((i, j) == (1, 0)) for j in range(k)] for i in range(k)]))
+    assert calls == [("_char_poly_lanes", 1023), ("_char_poly_mersenne", 1024)]
+
+
+def test_a_lane_prime_that_divides_det_k_is_skipped_and_a_first_one_declines(monkeypatch):
+    # K = [e_1, A e_1, ...] is diag(1, q, q, ..., q): det K = q^(k-1)
+    p1, q = exact._LANE_PRIMES[0], 1000003
+    k = 20
+    matrix = IntMatrix(_weighted_shift([q] + [1] * (k - 2), [3, -1] + [0] * (k - 3) + [2]))
+    expected = exact._berkowitz(matrix)
+    solved = []  # (prime, whether it solved)
+    real_solve = exact._lane_solve
+
+    def recorded(rows, columns, p):
+        residues = real_solve(rows, columns, p)
+        solved.append((p, residues is not None))
+        return residues
+
+    monkeypatch.setattr(exact, "_lane_solve", recorded)
+    monkeypatch.setattr(exact, "_LANE_PRIMES", (p1, q) + exact._LANE_PRIMES[1:])
+    bound = exact._coefficient_bound(matrix)
+    assert exact._char_poly_lanes(matrix, bound) == expected
+    assert solved[:3] == [(p1, True), (q, False), (exact._LANE_PRIMES[2], True)]
+    # q first: the path declines after one pass, and char_poly falls back
+    monkeypatch.setattr(exact, "_LANE_PRIMES", (q,) + exact._LANE_PRIMES[:1] + exact._LANE_PRIMES[2:])
+    solved.clear()
+    assert exact._char_poly_lanes(matrix, bound) is None
+    assert solved == [(q, False)]
+    assert exact._char_poly_krylov(matrix) is None
+    assert char_poly(matrix) == expected
+
+
 def _krylov_moduli(monkeypatch, matrix):
-    """The moduli of the inverses taken by the Krylov solve on matrix."""
+    """The moduli of the inverses taken by the solve modulo a power of 2^61 - 1."""
     moduli = set()
 
     def recording_pow(base, exponent, modulus):
@@ -332,7 +428,7 @@ def _krylov_moduli(monkeypatch, matrix):
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(exact, "pow", recording_pow, raising=False)
-    assert exact._char_poly_krylov(matrix) is not None
+    assert exact._char_poly_mersenne(matrix, exact._coefficient_bound(matrix)) is not None
     monkeypatch.delattr(exact, "pow")
     return moduli
 
@@ -936,6 +1032,13 @@ def test_certificate_decides_a_random_char_poly_that_needs_eleven_primes():
     assert cert.witness_prime is None
     assert len(cert.patterns) == 11
     assert cert.patterns[-3:] == ((23, (1, 1, 6)), (29, (1, 1, 1, 5)), (31, (1, 7)))
+
+
+def test_lane_primes_are_the_largest_primes_below_two_to_the_27():
+    # trial division over every integer from the least of them up to 2^27
+    primes = [n for n in range(2**27 - 1, min(exact._LANE_PRIMES) - 1, -1) if _trial_division_is_prime(n)]
+    assert exact._LANE_PRIMES == tuple(primes)
+    assert len(primes) == 32
 
 
 def test_first_primes():

@@ -130,6 +130,8 @@ strictly_triangular = st.integers(1, 12).flatmap(
 @hypothesis.example([[int(j == (i - 1) % 14 or i == j == 0) for j in range(14)] for i in range(14)])
 @hypothesis.example(_companion([pow(7, 60 + i, WIDE) - WIDE // 2 for i in range(15)]))
 @hypothesis.example([[2 * (i == j) for j in range(16)] for i in range(16)])
+# past exact._LANE_MIN_K: the lane solve with two primes and the CRT
+@hypothesis.example([[pow(7, 16 * i + j, 10007) % 3 for j in range(16)] for i in range(16)])
 def test_char_poly_matches_bareiss_determinants(rows):
     """det(nI - A) by sympy's fraction-free elimination, at the k + 1 points
     n = 0..k that fix a monic polynomial of degree k.  (sympy's charpoly is
@@ -158,9 +160,17 @@ def test_the_krylov_modulus_is_the_least_power_of_the_mersenne_prime_above_twice
     for k, bits in ((12, 1), (12, 100), (20, 200), (30, 400)):
         matrix = IntMatrix(_companion([rng.randint(-2**bits, 2**bits) for _ in range(k)]))
         moduli.clear()
-        assert exact._char_poly_krylov(matrix) is not None
-        e, _ = sympy.integer_log(2 * exact._coefficient_bound(matrix), M)  # M^e <= 2B < M^(e+1)
+        bound = exact._coefficient_bound(matrix)
+        assert exact._char_poly_mersenne(matrix, bound) is not None
+        e, _ = sympy.integer_log(2 * bound, M)  # M^e <= 2B < M^(e+1)
         assert moduli == {M ** (e + 1)}
+
+
+def test_lane_primes_are_the_32_largest_primes_below_two_to_the_27():
+    primes = [2**27]
+    while len(primes) <= 32:
+        primes.append(sympy.prevprime(primes[-1]))
+    assert exact._LANE_PRIMES == tuple(primes[1:])
 
 
 def _monic(coeffs):
