@@ -5,7 +5,10 @@ arithmetic (the characteristic polynomial comes from Krylov solves modulo
 a few primes below 2^27 joined by the Chinese remainder theorem, or from
 one solve modulo a power of the prime 2^61 - 1, either made exact by a
 proved coefficient bound, or from Berkowitz's recursion, which does no
-division at all), so results are bit-for-bit reproducible.  Floats enter
+division at all and forms no Krylov vector it does not read), so results
+are bit-for-bit reproducible.  The certificates' factor degrees modulo a
+prime q come from plain coefficient lists over F_q, where every step
+that reads only a remainder (_fp_rem) keeps no quotient.  Floats enter
 only the search for a rational factor of degree 2 or more (integer roots
 are found exactly, by Hensel lifting): numeric roots propose candidate
 factors, and only an exact division accepts one.  All values are
@@ -46,10 +49,20 @@ _STALL_PRIMES = 4
 
 # char_poly's choice between its two exact paths, set from timings of both
 # on seeded random matrices: Berkowitz's recursion is the faster at and
-# below _BERKOWITZ_MAX_K on 0-2 matrices, and, by up to 3.5x, once the
-# coefficient bound passes _KRYLOV_MAX_ROW_BITS bits per row (dense entries
-# of 32 bits and wider), where the solve's k^3/3 products of numbers the
-# size of Q dominate.
+# below _BERKOWITZ_MAX_K, and, by up to 3.5x, once the coefficient bound
+# passes _KRYLOV_MAX_ROW_BITS bits per row (dense entries of 32 bits and
+# wider), where the solve's k^3/3 products of numbers the size of Q
+# dominate.  Berkowitz's time over that of _coefficient_bound plus
+# _char_poly_mersenne (min of 5 x 20 calls, 4 matrices per cell):
+#
+#   k                            6     7     8     9     10    11    12
+#   0-2 entries                 0.57  0.65  0.68  0.78  0.87  1.01  0.99
+#   -3..3 entries               0.54  0.63  0.71  0.79  0.95  1.00  1.10
+#   companion, 20k - 40 bits    0.69  0.83  0.99  1.09  1.23  1.45  1.65
+#
+# The dense rows alone would move the cutover to 10, but the wide
+# companions (the benchmark's k = 10 and 12 ones among them) lose from
+# k = 9 on: 8 is the largest k at which Berkowitz loses on neither.
 _BERKOWITZ_MAX_K = 8
 _KRYLOV_MAX_ROW_BITS = 24
 
@@ -59,9 +72,10 @@ _MERSENNE = 2**61 - 1  # a prime: the Krylov solve runs modulo a power of it
 # files prove each one prime).  As p < 2^27, k (p - 1)^2 + p < 2^64 for
 # every k <= _LANE_MAX_K, so no sum the lane solve forms carries out of
 # its 64-bit lane.  The Krylov path takes the lane solve from
-# _LANE_MIN_K on when at most one lane prime per _LANE_K_PER_PRIME rows,
-# and at most _LANE_MAX_PRIMES, pass twice the coefficient bound; the
-# primes past those are spares for the ones that divide det K.
+# _LANE_MIN_K on when at most one lane prime per _LANE_K_PER_PRIME rows
+# (per _UNIT_KRYLOV_K_PER_PRIME rows when the Krylov vectors are unit
+# vectors), and at most _LANE_MAX_PRIMES, pass twice the coefficient
+# bound; the primes past those are spares for the ones that divide det K.
 _LANE_PRIMES = (
     134217689, 134217649, 134217617, 134217613, 134217593, 134217541, 134217529, 134217509,
     134217497, 134217493, 134217487, 134217467, 134217439, 134217437, 134217409, 134217403,
@@ -71,6 +85,7 @@ _LANE_PRIMES = (
 _LANE_MAX_K = 1023
 _LANE_MIN_K = 16
 _LANE_K_PER_PRIME = 6
+_UNIT_KRYLOV_K_PER_PRIME = 14
 _LANE_MAX_PRIMES = 24
 _LANE_MASK = 2**64 - 1
 
@@ -227,13 +242,15 @@ def _char_poly_krylov(A):
 
     When v_0, ..., v_{k-1} are independent, p(A) e_1 = 0 says p(x) = x^k -
     sum_j c_j x^j for the unique solution c of sum_j c_j v_j = v_k, and
-    |c_j| <= B, the coefficient bound.  The solve is chosen from k and B
-    alone.  The lane solve (_char_poly_lanes) runs for _LANE_MIN_K <= k
-    <= _LANE_MAX_K when the first m = min(k // _LANE_K_PER_PRIME,
-    _LANE_MAX_PRIMES) lane primes pass 2B, which holds once 2B has at
-    most 26 m bits, as every lane prime exceeds 2^26.  Else the solve
-    modulo a power of 2^61 - 1 (_char_poly_mersenne) runs while B has at
-    most _KRYLOV_MAX_ROW_BITS bits per row, and past that None.
+    |c_j| <= B, the coefficient bound.  The solve is chosen from k, B and
+    whether v_0, ..., v_{k-1} are unit vectors (_unit_krylov).  The lane
+    solve (_char_poly_lanes) runs for _LANE_MIN_K <= k <= _LANE_MAX_K
+    when the first m = min(k // d, _LANE_MAX_PRIMES) lane primes pass 2B,
+    which holds once 2B has at most 26 m bits, as every lane prime
+    exceeds 2^26; d is _UNIT_KRYLOV_K_PER_PRIME for unit vectors, else
+    _LANE_K_PER_PRIME.  Else the solve modulo a power of 2^61 - 1
+    (_char_poly_mersenne) runs while B has at most _KRYLOV_MAX_ROW_BITS
+    bits per row, and past that None.
 
     The rule is set from timings of both solves (min of 7 calls, median
     over 4 seeded matrices per cell).  On dense 0-1, 0-2 and -3..3
@@ -243,19 +260,38 @@ def _char_poly_krylov(A):
     with 3 primes.  It lost with 2 primes at k = 10-12 (up to 1.3x on
     -3..3) and with one on the k-cycle plus a self-loop at k = 9-14
     (1.1-1.2x), whose Krylov vectors are sparse.  A companion matrix's
-    Krylov vectors are unit vectors, so the other solve is cheap there
-    while the lane solve pays its dense cost: with 20-60-bit
-    coefficients at k = 16-32 char_poly takes about 1.4x the time it took
-    on the other solve.
+    Krylov vectors are unit vectors, so the other solve's elimination is
+    cheap there while the lane solve pays its dense cost once per prime:
+    on companions with the coefficient bits that need m primes, the lane
+    solve took 0.55-0.92x the other's time while m <= k // 14 (k = 16-64)
+    and 1.06-2.2x at m > k // 14, but for the ties 0.98-0.99x at k = 40
+    and 48.
     """
     k = A.k
     bound = _coefficient_bound(A)
-    primes = min(k // _LANE_K_PER_PRIME, _LANE_MAX_PRIMES)
-    if _LANE_MIN_K <= k <= _LANE_MAX_K and (2 * bound).bit_length() <= 26 * primes:
-        return _char_poly_lanes(A, bound)
+    if _LANE_MIN_K <= k <= _LANE_MAX_K:
+        per_prime = _UNIT_KRYLOV_K_PER_PRIME if _unit_krylov(A.rows) else _LANE_K_PER_PRIME
+        if (2 * bound).bit_length() <= 26 * min(k // per_prime, _LANE_MAX_PRIMES):
+            return _char_poly_lanes(A, bound)
     if bound.bit_length() > _KRYLOV_MAX_ROW_BITS * k:
         return None
     return _char_poly_mersenne(A, bound)
+
+
+def _unit_krylov(rows):
+    """Whether A^j e_1 is a unit vector for every j < k, as for a companion matrix.
+
+    Each such vector is the column of A that the one before picks out, so
+    a dense A is turned down at its first column.
+    """
+    k = len(rows)
+    i = 0
+    for _ in range(k - 1):
+        column = [row[i] for row in rows]
+        if column.count(0) != k - 1 or 1 not in column:
+            return False
+        i = column.index(1)
+    return True
 
 
 def _char_poly_mersenne(A, bound):
@@ -406,18 +442,24 @@ def _berkowitz(A):
 
     Bordering the leading r x r block A_r by the row R, the column C and
     the corner a multiplies its char poly by the lower-triangular
-    Toeplitz matrix with first column (1, -a, -R C, -R A_r C, ...,
-    -R A_r^{r-1} C).
+    Toeplitz matrix with first column t = (1, -a, -R C, -R A_r C, ...,
+    -R A_r^{r-1} C).  Step r so forms v = A_r^m C for m = 0 .. r - 1 (r - 1
+    matrix-vector products) and the dot product R v of each.  A_r^r C is
+    never read, so it is not formed.  Coefficient i of the product is the
+    dot product of t[i], t[i-1], ..., t[0] with the old coefficients: one
+    sum over a slice of t reversed.
     """
     rows = A.rows
     cs = [1, -rows[0][0]]  # descending: coefficient of x^r, x^{r-1}, ...
     for r in range(1, A.k):
-        v = [row[r] for row in rows[:r]]  # A_r^m C; map() stops after its r entries
-        t = [1, -rows[r][r]]
-        for _ in range(r):
-            t.append(-sum(map(mul, rows[r], v)))
-            v = [sum(map(mul, row, v)) for row in rows[:r]]
-        cs = [sum(t[i - j] * cs[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+        block, border = rows[:r], rows[r]
+        v = [row[r] for row in block]  # A_r^m C; map() stops after its r entries
+        t = [1, -border[r], -sum(map(mul, border, v))]
+        for _ in range(r - 1):
+            v = [sum(map(mul, row, v)) for row in block]
+            t.append(-sum(map(mul, border, v)))
+        t.reverse()
+        cs = [sum(map(mul, t[r + 1 - i :], cs)) for i in range(r + 2)]
     return IntPolynomial(list(reversed(cs)))
 
 
@@ -557,11 +599,30 @@ def _fp_divmod(a, b, q):
     return _fp_trim(quot), _fp_trim([x % q for x in rem])
 
 
+def _fp_rem(a, b, q):
+    """a mod b in F_q[x], for b not zero.  The list a is consumed.
+
+    The top coefficient of a is popped and, times b made monic, taken
+    off the coefficients below it, until at most deg b are left; no
+    quotient is kept.  Entries are reduced only when read, as the top
+    one, and once at the end.
+    """
+    if b[-1] != 1:
+        b = _fp_monic(b, q)
+    db = len(b) - 1
+    while len(a) > db:
+        c = a.pop() % q
+        if c:
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] -= c * b[j]
+    return _fp_trim([x % q for x in a])
+
+
 def _fp_gcd(a, b, q):
     a, b = list(a), list(b)
     while b:
-        _, r = _fp_divmod(a, b, q)
-        a, b = b, r
+        a, b = b, _fp_rem(a, b, q)
     return _fp_monic(a, q) if a else []
 
 
@@ -571,12 +632,12 @@ def _fp_powmod(base, exponent, modulus, q):
     Left-to-right binary powering from base itself: one squaring per bit
     after the leading one, and one multiplication per further set bit.
     """
-    base = _fp_divmod(base, modulus, q)[1]
+    base = _fp_rem(list(base), modulus, q)
     result = base
     for bit in bin(exponent)[3:]:
-        result = _fp_divmod(_fp_mul(result, result, q), modulus, q)[1]
+        result = _fp_rem(_fp_mul(result, result, q), modulus, q)
         if bit == "1":
-            result = _fp_divmod(_fp_mul(result, base, q), modulus, q)[1]
+            result = _fp_rem(_fp_mul(result, base, q), modulus, q)
     return result
 
 
@@ -656,7 +717,7 @@ def factor_mod_p(p, q):
         raise BadReductionPrime(f"prime {q} divides the leading coefficient")
     f = _fp_monic(_fp_trim([c % q for c in p.coeffs]), q)
     degrees = []
-    h = _fp_divmod([0, 1], f, q)[1]  # x^{q^(i-1)} mod f at the loop head
+    h = _fp_rem([0, 1], f, q)  # x^{q^(i-1)} mod f at the loop head
     i = 1
     while len(f) - 1 >= 2 * i:
         h = _fp_powmod(h, q, f, q)
@@ -665,7 +726,7 @@ def factor_mod_p(p, q):
             degrees.extend([i] * ((len(g) - 1) // i))
             f = _fp_divmod(f, g, q)[0]
             g = _fp_gcd(f, g, q)
-        h = _fp_divmod(h, f, q)[1]
+        h = _fp_rem(h, f, q)
         i += 1
     if len(f) - 1 >= 1:
         degrees.append(len(f) - 1)

@@ -302,6 +302,11 @@ def _krylov_cases():
         ("diag-B-B-k24", _blocks(b12, [[0] * 12] * 12, b12), None),
         ("block-triangular-k14", _blocks(b7, rand(7, -2, 2), rand(7, -2, 2)), None),
     ]
+    # unit Krylov vectors: one lane prime per 14 rows, so 2 primes' worth of
+    # coefficients go to the lanes at k = 28, not at k = 16 or 24
+    cases += [(f"companion{bits}-k{k}", _companion([random.Random(bits).getrandbits(bits) | 1 for _ in range(k)]),
+               solve) for k, bits, solve in ((16, 20, mersenne), (24, 40, mersenne), (32, 60, mersenne),
+                                             (16, 8, lanes), (28, 25, lanes))]
     return [pytest.param(rows, solve, id=name) for name, rows, solve in cases]
 
 
@@ -379,6 +384,16 @@ def test_lanes_round_trip_and_never_carry():
     p = max(exact._LANE_PRIMES)
     assert p < 2**27
     assert exact._LANE_MAX_K * (p - 1) ** 2 + p < 2**64
+
+
+def test_unit_krylov_vectors_are_read_along_the_columns_they_pick():
+    k = 20
+    assert exact._unit_krylov(_companion([3] * k))
+    assert exact._unit_krylov([[int(j == (i - 1) % k) for j in range(k)] for i in range(k)])
+    assert not exact._unit_krylov(_cycle_with_loop(k))  # A e_1 = e_1 + e_2
+    # a weight 2 on the shift makes A e_1, or only A^(k-1) e_1, twice a unit vector
+    assert not exact._unit_krylov(_weighted_shift([2] + [1] * (k - 2), [3] * k))
+    assert not exact._unit_krylov(_weighted_shift([1] * (k - 2) + [2], [3] * k))
 
 
 def test_the_lane_path_admits_no_size_past_its_no_carry_bound(monkeypatch):
@@ -601,6 +616,59 @@ def test_factor_mod_p_matches_trial_division_exhaustively():
                     rest //= q
                 p = IntPolynomial(coeffs + [1])
                 assert factor_mod_p(p, q) == _brute_factor_degrees(list(p.coeffs), q)
+
+
+def _fp_polys(q, max_degree):
+    """Every polynomial over F_q of degree <= max_degree, zero first, as trimmed lists."""
+    return [exact._fp_trim(list(c)) for c in itertools.product(range(q), repeat=max_degree + 1)]
+
+
+def _fp_pairs(q):
+    """(a, b), b not zero: every pair of degree <= 4 over F_2 and F_3; over F_5,
+    whose 9.7 million such pairs would take a minute, every a of degree <= 4
+    against every b of degree <= 1, and every pair of degree <= 2."""
+    if q < 5:
+        polys = _fp_polys(q, 4)
+        return [(a, b) for a in polys for b in polys if b]
+    low, square = _fp_polys(q, 1), _fp_polys(q, 2)
+    return [(a, b) for a in _fp_polys(q, 4) for b in low if b] + [(a, b) for a in square for b in square if b]
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_fp_rem_is_the_divmod_remainder_exhaustively(q):
+    for a, b in _fp_pairs(q):
+        assert exact._fp_rem(list(a), b, q) == exact._fp_divmod(a, b, q)[1], (a, b)
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_fp_gcd_is_the_greatest_common_monic_divisor_exhaustively(q):
+    # every monic d of degree <= 4 times every nonzero e, with the product of
+    # degree <= 4: the monic divisors of each polynomial, found by search
+    polys = _fp_polys(q, 4)
+    divisors = {}
+    for d in polys:
+        if d and d[-1] == 1:
+            for e in polys:
+                if e and len(d) + len(e) <= 6:
+                    divisors.setdefault(tuple(exact._fp_mul(d, e, q)), set()).add(tuple(d))
+    for a, b in _fp_pairs(q):
+        common = divisors[tuple(b)] if not a else divisors[tuple(a)] & divisors[tuple(b)]
+        assert exact._fp_gcd(a, b, q) == list(max(common, key=len)), (a, b)
+    assert exact._fp_gcd([], [], q) == []
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_fp_powmod_is_repeated_multiplication_exhaustively(q):
+    # every base of degree <= 4 (<= 2 over F_5) against every modulus of
+    # degree 1 or 2 (monic over F_5), to the powers 1 .. 6 and q^2
+    moduli = [m for m in _fp_polys(q, 2) if len(m) >= 2 and (q < 5 or m[-1] == 1)]
+    for modulus in moduli:
+        for base in _fp_polys(q, 4 if q < 5 else 2):
+            power = [1]
+            for exponent in range(1, q * q + 1):
+                power = exact._fp_divmod(exact._fp_mul(power, base, q), modulus, q)[1]
+                if exponent <= 6 or exponent == q * q:
+                    assert exact._fp_powmod(base, exponent, modulus, q) == power, (base, exponent, modulus)
 
 
 def test_factor_mod_p_matches_trial_division_random_f5():

@@ -144,6 +144,25 @@ def test_char_poly_matches_bareiss_determinants(rows):
         assert p(n) == (n * sympy.eye(k) - m).det(method="bareiss"), (rows, n)
 
 
+berkowitz_matrices = st.tuples(
+    st.integers(1, 10), st.sampled_from(((0, 2), (-3, 3), (-WIDE, WIDE)))
+).flatmap(lambda size: _square(size[0], *size[1]))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(berkowitz_matrices)
+# k = 10 in each entry range: each bordering step skips its last A_r^m C
+@hypothesis.example([[pow(3, 10 * i + j, 1009) % 3 for j in range(10)] for i in range(10)])
+@hypothesis.example([[pow(3, 10 * i + j, 1009) % 7 - 3 for j in range(10)] for i in range(10)])
+@hypothesis.example([[pow(3, 10 * i + j, WIDE) - WIDE // 2 for j in range(10)] for i in range(10)])
+def test_berkowitz_matches_the_mersenne_solve_and_sympy_charpoly(rows):
+    matrix = IntMatrix(rows)
+    p = exact._berkowitz(matrix)
+    assert list(p.coeffs) == _coeffs(sympy.Matrix(rows).charpoly(X).as_expr())
+    solved = exact._char_poly_mersenne(matrix, exact._coefficient_bound(matrix))
+    assert solved is None or solved == p
+
+
 def test_is_prime_matches_sympy_near_ten_to_the_7():
     window = range(10**7 - 2000, 10**7 + 2000)
     assert [n for n in window if exact.is_prime(n)] == [n for n in window if sympy.isprime(n)]
